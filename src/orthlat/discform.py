@@ -19,7 +19,6 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from orthlat.errors import (
-    NotIntegralError,
     NotIsometryError,
     NotPrimitiveError,
     TooLargeError,
@@ -187,18 +186,9 @@ def identity_automorphism(form: DiscriminantForm) -> DiscAutomorphism:
     return DiscAutomorphism(form, tuple(gens))
 
 
-def _check_isometry(lattice: Lattice, mat: Mat):
-    if mat.shape != (lattice.rank, lattice.rank):
-        raise NotIsometryError("wrong shape")
-    if not mat.is_integral():
-        raise NotIntegralError("matrix is not integral")
-    if mat.transpose() @ lattice.gram @ mat != lattice.gram:
-        raise NotIsometryError("matrix does not preserve the form")
-
-
 def induced_map(lattice: Lattice, mat: Mat) -> DiscAutomorphism:
     """Action of an integral isometry on D(L)."""
-    _check_isometry(lattice, mat)
+    lattice.check_isometry(mat, integral=True)
     form = discriminant_form(lattice)
     images = tuple(form.class_of_dual(mat.apply(g)) for g in form.generators)
     aut = DiscAutomorphism(form, images)

@@ -19,12 +19,13 @@ from fractions import Fraction
 from orthlat import discform
 from orthlat.errors import (
     IsotropicMirrorError,
+    NotIntegralError,
     NotIsometryError,
     NotIsotropicError,
     NotOrthogonalError,
 )
 from orthlat.lattice import Lattice
-from orthlat.linalg import Mat, Vec, as_scalar
+from orthlat.linalg import Mat, Vec, as_scalar, parse_scalar
 
 
 class Isometry:
@@ -34,10 +35,7 @@ class Isometry:
 
     def __init__(self, lattice: Lattice, mat: Mat, _checked: bool = False):
         if not _checked:
-            if mat.shape != (lattice.rank, lattice.rank):
-                raise NotIsometryError("wrong shape")
-            if mat.transpose() @ lattice.gram @ mat != lattice.gram:
-                raise NotIsometryError("matrix does not preserve the form")
+            lattice.check_isometry(mat)
         self.lattice = lattice
         self.mat = mat
         self._det = None
@@ -171,22 +169,15 @@ Atom = ReflectionAtom | TransvectionAtom | InverseAtom
 def atom_from_json(data: dict) -> Atom:
     kind = data["type"]
     if kind == "reflection":
-        return ReflectionAtom(Vec(_parse_scalar(x) for x in data["mirror"]))
+        return ReflectionAtom(Vec(parse_scalar(x) for x in data["mirror"]))
     if kind == "transvection":
         return TransvectionAtom(
-            Vec(_parse_scalar(x) for x in data["e"]),
-            Vec(_parse_scalar(x) for x in data["a"]),
+            Vec(parse_scalar(x) for x in data["e"]),
+            Vec(parse_scalar(x) for x in data["a"]),
         )
     if kind == "inverse":
         return InverseAtom(atom_from_json(data["atom"]))
     raise ValueError(f"unknown atom type {kind!r}")
-
-
-def _parse_scalar(s: str):
-    if "/" in s:
-        p, q = s.split("/", 1)
-        return Fraction(int(p), int(q))
-    return int(s)
 
 
 class GroupWord:
@@ -359,11 +350,9 @@ _ALL_FALSE = Membership(False, False, False, False, False, False, False)
 def membership(lattice: Lattice, mat: Mat) -> Membership:
     """Subgroup flags for an arbitrary matrix; all False when it is not
     an integral isometry of the lattice."""
-    if mat.shape != (lattice.rank, lattice.rank):
-        return _ALL_FALSE
-    if not mat.is_integral():
-        return _ALL_FALSE
-    if mat.transpose() @ lattice.gram @ mat != lattice.gram:
+    try:
+        lattice.check_isometry(mat, integral=True)
+    except (NotIntegralError, NotIsometryError):
         return _ALL_FALSE
     g = Isometry._trusted(lattice, mat)
     so = g.det() == 1

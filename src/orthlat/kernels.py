@@ -1,38 +1,48 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The two integer kernels: exact matrix products and fixed-norm box
+enumeration.
 
-Set ``ORTHLAT_PURE=1`` to force the pure-Python backend.  The compiled
-enumeration kernel works on C int64, so the wrapper falls back to the
-pure version whenever the worst-case partial sum could overflow.
+Both work on flat row-major lists of Python ints, so every sum is exact
+at any size.  ``Mat.__matmul__`` and ``Lattice.enumerate_vectors`` call
+them by module attribute.
 """
 
-import os
+from itertools import product
 
-from orthlat import _pykernels
-
-if os.environ.get("ORTHLAT_PURE"):
-    _impl = _pykernels
-    BACKEND = "python"
-else:
-    try:
-        from orthlat import _fastkernels as _impl
-
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _pykernels
-        BACKEND = "python"
-
-_INT64_SAFE = 1 << 62
+BACKEND = "python"
 
 
 def imat_mul(a, b, n, k, m):
-    return _impl.imat_mul(a, b, n, k, m)
+    """Multiply an n*k by a k*m integer matrix, both flat row-major lists."""
+    out = [0] * (n * m)
+    for i in range(n):
+        ik = i * k
+        im = i * m
+        for j in range(m):
+            acc = 0
+            for l in range(k):
+                acc += a[ik + l] * b[l * m + j]
+            out[im + j] = acc
+    return out
 
 
 def enum_norm_vectors(gram, n, target, box):
-    if _impl is not _pykernels:
-        # |v^T G v| <= box^2 * sum|g_ij|; every partial sum obeys the
-        # same bound, so int64 is safe below it.
-        bound = (box * box) * sum(abs(g) for g in gram) + abs(target) + 1
-        if bound < _INT64_SAFE:
-            return _impl.enum_norm_vectors(gram, n, target, box)
-    return _pykernels.enum_norm_vectors(gram, n, target, box)
+    """All integer coordinate vectors in [-box, box]^n with v^T G v == target.
+
+    ``gram`` is the flat row-major n*n Gram matrix.  Output is a list of
+    tuples in ascending lexicographic order.
+    """
+    out = []
+    rng = range(-box, box + 1)
+    for coords in product(rng, repeat=n):
+        s = 0
+        for i in range(n):
+            ci = coords[i]
+            if ci:
+                base = i * n
+                acc = 0
+                for j in range(n):
+                    acc += gram[base + j] * coords[j]
+                s += ci * acc
+        if s == target:
+            out.append(coords)
+    return out

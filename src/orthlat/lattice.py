@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from orthlat import kernels
 from orthlat.errors import (
     DegenerateFormError,
+    NotIntegralError,
+    NotIsometryError,
     OddDiagonalError,
     SpecParseError,
     ZeroVectorError,
@@ -84,6 +86,17 @@ class Lattice:
     def norm(self, v):
         return self.inner(v, v)
 
+    def check_isometry(self, mat: Mat, integral: bool = False) -> None:
+        """Raise NotIsometryError unless mat is rank x rank with
+        mat^T G mat == G.  With integral=True a non-integral mat raises
+        NotIntegralError, tested after the shape and before the form."""
+        if mat.shape != (self.rank, self.rank):
+            raise NotIsometryError("wrong shape")
+        if integral and not mat.is_integral():
+            raise NotIntegralError("matrix is not integral")
+        if mat.transpose() @ self.gram @ mat != self.gram:
+            raise NotIsometryError("matrix does not preserve the form")
+
     def basis_vector(self, i: int) -> Vec:
         return Vec.unit(self.rank, i)
 
@@ -108,7 +121,6 @@ class Lattice:
         a = [[x % p for x in row] for row in self.gram.int_rows()]
         n = self.rank
         r = 0
-        col = 0
         for col in range(n):
             piv = next((i for i in range(r, n) if a[i][col]), None)
             if piv is None:
@@ -164,7 +176,6 @@ class Lattice:
         p, q = self.signature()
         found, box = self.find_root_witness(search_box)
         return KneserReport(
-            even_ok=True,
             witt_ok=min(p, q) >= 2,
             rank2_ok=self.rank_p(2) >= 6,
             rank3_ok=self.rank_p(3) >= 5,
@@ -175,7 +186,6 @@ class Lattice:
 
 @dataclass(frozen=True)
 class KneserReport:
-    even_ok: bool
     witt_ok: bool
     rank2_ok: bool
     rank3_ok: bool
@@ -187,8 +197,8 @@ class KneserReport:
         return self.minus2_vector is not None
 
     def all_pass(self) -> bool:
-        return (self.even_ok and self.witt_ok and self.rank2_ok
-                and self.rank3_ok and self.represents_minus2)
+        return (self.witt_ok and self.rank2_ok and self.rank3_ok
+                and self.represents_minus2)
 
 
 # ---------------------------------------------------------------------
@@ -266,10 +276,6 @@ def parse_block_spec(spec: str) -> Lattice:
 
 def build(spec: str) -> Lattice:
     return parse_block_spec(spec)
-
-
-def hyperbolic_plane() -> Lattice:
-    return build("U")
 
 
 def rescale(lat: Lattice, m: int) -> Lattice:

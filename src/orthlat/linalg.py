@@ -31,6 +31,17 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def parse_scalar(s) -> Scalar:
+    """Exact scalar from its JSON text form, "p/q" or a decimal integer.
+
+    Raises ValueError or ZeroDivisionError on malformed text."""
+    s = str(s)
+    if "/" in s:
+        p, q = s.split("/", 1)
+        return Fraction(int(p), int(q))
+    return int(s)
+
+
 def _den(x: Scalar) -> int:
     return x.denominator if isinstance(x, Fraction) else 1
 

@@ -35,6 +35,22 @@ class TestLattice:
         assert code == 0
         assert not data["rank2OK"]
 
+    def test_kneser_every_key(self, capsys):
+        code, data = run_json(capsys, "lattice", "kneser", "--spec", "2U+<-10>")
+        assert code == 0
+        assert data == {
+            "evenOK": True,
+            "wittOK": True,
+            "rank2OK": False,
+            "rank3OK": True,
+            "representsMinus2": {
+                "found": True,
+                "vector": ["1", "-1", "0", "0", "0"],
+                "searchBox": 0,
+            },
+            "allPass": False,
+        }
+
     def test_census(self, capsys):
         code, data = run_json(capsys, "lattice", "census", "--spec", "2U+<-2>",
                               "--box", "2")
