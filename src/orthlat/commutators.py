@@ -25,9 +25,10 @@ from orthlat.isometry import (
     Isometry,
     ReflectionAtom,
     TransvectionAtom,
+    rank_update,
     transvection,
 )
-from orthlat.linalg import Mat, Vec, as_scalar
+from orthlat.linalg import Vec, as_scalar
 
 
 def p_map(split: HyperbolicSplitting, s) -> Isometry:
@@ -38,13 +39,7 @@ def p_map(split: HyperbolicSplitting, s) -> Isometry:
         raise ZeroScaleError("scale must be nonzero")
     lat = split.lattice
     e, f = split.e, split.f
-    cols = []
-    for i in range(lat.rank):
-        v = lat.basis_vector(i)
-        x = Fraction(lat.inner(v, f))
-        y = Fraction(lat.inner(v, e))
-        cols.append((x / s) * e + (s * y) * f + (v - x * e - y * f))
-    return Isometry(lat, Mat.from_cols(cols))
+    return Isometry(lat, rank_update(lat, [(1 / s - 1, e, f), (s - 1, f, e)]))
 
 
 def p_reflection_word(split: HyperbolicSplitting, s) -> GroupWord:

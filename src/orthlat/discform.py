@@ -212,8 +212,18 @@ def enumerate_orth_d(form: DiscriminantForm, cap: int = 10000) -> list[DiscAutom
     """Brute-force list of all automorphisms of D preserving q.
 
     Searches tuples of generator images, pruning on element order and
-    q-value, then on the pairwise bilinear products, and finally checks
-    that the images generate.  Deterministic (lexicographic) order.
+    q-value, then on the pairwise bilinear products.  Deterministic
+    (lexicographic) order.
+
+    Every tuple that survives is an automorphism, so no generation test
+    is needed.  D is the direct sum of the cyclic groups <g_i> of order
+    d_i, and each image x_i has order d_i, so g_i -> x_i extends to a
+    homomorphism phi of D.  phi preserves q on the generators and b on
+    distinct pairs of them; as b(x, x) = q(x) mod 1, it preserves b on
+    all pairs, hence everywhere by bilinearity, and then q everywhere
+    by q(x + y) = q(x) + q(y) + 2 b(x, y) mod 2.  If phi(y) = 0 then
+    b(y, x) = b(0, phi(x)) = 0 for every x, so y = 0 because b is
+    nondegenerate: phi is injective and, D being finite, bijective.
     """
     if len(form) > cap:
         raise TooLargeError(f"|D| = {len(form)} exceeds cap {cap}")
@@ -232,22 +242,9 @@ def enumerate_orth_d(form: DiscriminantForm, cap: int = 10000) -> list[DiscAutom
     out = []
     chosen: list[DiscElement] = []
 
-    def generates(images) -> bool:
-        span = {form.zero.coords}
-        for img in images:
-            current = set(span)
-            for c in span:
-                x = form.element(c)
-                for _ in range(img.order()):
-                    x = x + img
-                    current.add(x.coords)
-            span = current
-        return len(span) == len(form)
-
     def dfs(i):
         if i == k:
-            if generates(chosen):
-                out.append(DiscAutomorphism(form, tuple(chosen)))
+            out.append(DiscAutomorphism(form, tuple(chosen)))
             return
         for x in candidates[i]:
             ok = True

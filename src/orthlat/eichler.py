@@ -81,9 +81,6 @@ class HyperbolicSplitting:
     def l1_basis(self) -> list[Vec]:
         return [self.lattice.basis_vector(i) for i in self.l1_indices]
 
-    def l0_basis(self) -> list[Vec]:
-        return [self.lattice.basis_vector(i) for i in self.l0_indices]
-
     def in_l1(self, v) -> bool:
         """Supported away from the first plane."""
         return all(self.lattice.inner(v, w) == 0 for w in (self.e, self.f))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from orthlat import discform
 from orthlat.errors import (
@@ -79,17 +80,48 @@ class Isometry:
         return f"Isometry({self.mat!r})"
 
 
+def _numerators(v) -> tuple[list[int], int]:
+    """Integer numerators of an exact vector over its least common
+    denominator."""
+    d = 1
+    for x in v:
+        if isinstance(x, Fraction):
+            d = lcm(d, x.denominator)
+    return [int(x * d) for x in v], d
+
+
+def rank_update(lattice: Lattice, terms) -> Mat:
+    """Matrix of v -> v + sum c (z, v) x over the terms (c, x, z).
+
+    This is I + sum c x (G z)^T: G z is computed once per term and the
+    entries are accumulated as integer numerators over one denominator.
+    """
+    n = lattice.rank
+    parts = []
+    for c, x, z in terms:
+        c = Fraction(c)
+        xs, dx = _numerators(x)
+        gz, dz = _numerators(lattice.gram.apply(z))
+        parts.append((c.numerator, xs, gz, c.denominator * dx * dz))
+    den = lcm(*(d for *_, d in parts))
+    ents = [den if i == j else 0 for i in range(n) for j in range(n)]
+    for cn, xs, gz, d in parts:
+        k = cn * (den // d)
+        for i, xi in enumerate(xs):
+            if xi:
+                kx, base = k * xi, i * n
+                for j, g in enumerate(gz):
+                    ents[base + j] += kx * g
+    return Mat._raw(n, n, ents, den)
+
+
 def reflection(lattice: Lattice, a) -> Isometry:
     """Reflection in the mirror a: v -> v - 2(a,v)/(a,a) a."""
     a = Vec(a)
     aa = lattice.norm(a)
     if aa == 0:
         raise IsotropicMirrorError("mirror vector is isotropic")
-    cols = []
-    for i in range(lattice.rank):
-        b = lattice.basis_vector(i)
-        cols.append(b - (Fraction(2 * lattice.inner(a, b)) / aa) * a)
-    return Isometry._trusted(lattice, Mat.from_cols(cols))
+    return Isometry._trusted(lattice, rank_update(lattice, [(Fraction(-2) / aa, a, a)]))
 
 
 def transvection(lattice: Lattice, e, a) -> Isometry:
@@ -101,13 +133,8 @@ def transvection(lattice: Lattice, e, a) -> Isometry:
     if lattice.inner(e, a) != 0:
         raise NotOrthogonalError("(e, a) must vanish")
     half_aa = Fraction(lattice.norm(a)) / 2
-    cols = []
-    for i in range(lattice.rank):
-        v = lattice.basis_vector(i)
-        av = lattice.inner(a, v)
-        ev = lattice.inner(e, v)
-        cols.append(v - av * e + ev * a - (half_aa * ev) * e)
-    return Isometry._trusted(lattice, Mat.from_cols(cols))
+    return Isometry._trusted(lattice, rank_update(
+        lattice, [(-1, e, a), (1, a, e), (-half_aa, e, e)]))
 
 
 # ---------------------------------------------------------------------
@@ -154,7 +181,7 @@ class InverseAtom:
     atom: "Atom"
 
     def to_isometry(self, lattice: Lattice) -> Isometry:
-        return self.atom.to_isometry(lattice).inverse()
+        return self.atom.inverse().to_isometry(lattice)
 
     def inverse(self) -> "Atom":
         return self.atom
@@ -239,9 +266,8 @@ def _orthogonal_basis(lattice: Lattice, order=None) -> list[Vec]:
     from orthlat.linalg import congruence_diagonalize
 
     n = lattice.rank
-    if order is None:
-        order = range(n)
-    perm = Mat.from_cols([Vec.unit(n, i) for i in order])
+    order = range(n) if order is None else list(order)
+    perm = Mat([[1 if i == order[j] else 0 for j in range(n)] for i in range(n)])
     g = perm.transpose() @ lattice.gram @ perm
     p, _ = congruence_diagonalize(g)
     full = perm @ p

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from orthlat.eichler import HyperbolicSplitting
 from orthlat.errors import NotUnimodularError
-from orthlat.isometry import Isometry, reflection, transvection
+from orthlat.isometry import Isometry, rank_update, reflection, transvection
 from orthlat.lattice import Lattice
 from orthlat.linalg import Mat, Vec
 
@@ -87,30 +87,11 @@ def heis_embed(split: HyperbolicSplitting, u, v, z: int) -> Isometry:
     n0 = len(split.l0_indices)
     if len(u) != n0 or len(v) != n0:
         raise ValueError("u, v must have the rank of the complement")
-    s0 = [[int(lat.gram[i, j]) for j in split.l0_indices] for i in split.l0_indices]
-
-    def pair(x, y):
-        return sum(x[i] * s0[i][j] * y[j] for i in range(n0) for j in range(n0))
-
-    n = lat.rank
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = rows[1][1] = Fraction(1)
-    for j in range(n0):
-        sv = sum(v[i] * s0[i][j] for i in range(n0))
-        su = sum(u[i] * s0[i][j] for i in range(n0))
-        rows[0][2 + j] = Fraction(-sv)
-        rows[1][2 + j] = Fraction(-su)
-    rows[0][n - 2] = Fraction(-pair(u, v) - z)
-    rows[0][n - 1] = Fraction(-pair(v, v), 2)
-    rows[1][n - 2] = Fraction(-pair(u, u), 2)
-    rows[1][n - 1] = Fraction(z)
-    for i in range(n0):
-        rows[2 + i][2 + i] = Fraction(1)
-        rows[2 + i][n - 2] = Fraction(u[i])
-        rows[2 + i][n - 1] = Fraction(v[i])
-    rows[n - 2][n - 2] = Fraction(1)
-    rows[n - 1][n - 1] = Fraction(1)
-    return Isometry(split.lattice, Mat(rows))
+    e, e1 = split.e, split.e1
+    uf, vf = _lift_l0(split, u), _lift_l0(split, v)
+    wu = -uf - Fraction(lat.norm(uf), 2) * e1 + z * e
+    wv = -vf - (lat.inner(uf, vf) + z) * e1 - Fraction(lat.norm(vf), 2) * e
+    return Isometry(lat, rank_update(lat, [(1, e, wv), (1, e1, wu), (1, uf, e1), (1, vf, e)]))
 
 
 def heis_decompose(split: HyperbolicSplitting, g: Isometry) -> tuple[list, list, int]:
@@ -251,7 +232,6 @@ def paramodular_flip_check(t: int) -> list[IdentityCheck]:
 def stable_group_generators(t: int) -> dict:
     """Generator list realizing the full modular group of the rank-5
     lattice from the Jacobi subgroup plus one extra reflection."""
-    lat, split = paramodular_lattice(t)
     return {
         "lattice": f"2U+<{-2*t}>",
         "jacobi": ["t(e,f1)", "t(f,e1)", "t(e,e1)", "t(e,g)", "t(e1,g)"],

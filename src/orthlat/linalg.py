@@ -154,11 +154,6 @@ class Mat:
         n = len(values)
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_cols(cls, cols) -> "Mat":
-        cols = [list(c) for c in cols]
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
-
     @property
     def shape(self):
         return (self.n, self.m)

@@ -76,10 +76,14 @@ def transvection_word(split: HyperbolicSplitting, rng: Random, length: int,
 
 def mixed_word(split: HyperbolicSplitting, rng: Random, length: int,
                roots=None, bound: int = 2) -> GroupWord:
-    """Word mixing integral transvections with root reflections."""
+    """Word mixing integral transvections with root reflections; without
+    ``roots`` the norm -2 vectors of a small box, enumerated once per
+    lattice."""
     lat = split.lattice
     if roots is None:
-        roots = lat.enumerate_vectors(-2, 1) or lat.enumerate_vectors(-2, 2)
+        if "roots" not in lat._cache:
+            lat._cache["roots"] = lat.enumerate_vectors(-2, 1) or lat.enumerate_vectors(-2, 2)
+        roots = lat._cache["roots"]
     atoms = []
     for _ in range(length):
         if roots and rng.random() < 0.4:
