@@ -187,7 +187,7 @@ def _reduce_into_l1(split: HyperbolicSplitting, v: Vec) -> tuple[list[Transvecti
     red.run()
     image = Vec(v)
     for atom in red.applied:
-        image = atom.to_isometry(split.lattice).apply(image)
+        image = atom.act(split.lattice, image)
     if not split.in_l1(image):
         raise InternalSolveFailureError("plane reduction failed")
     return red.applied, image

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from orthlat import discform
 from orthlat.errors import (
@@ -67,7 +68,9 @@ class Isometry:
         return Isometry._trusted(self.lattice, self.mat @ other.mat)
 
     def inverse(self) -> "Isometry":
-        return Isometry._trusted(self.lattice, self.mat.inv())
+        """g^-1 = G^-1 g^T G, which holds because g^T G g = G."""
+        lat = self.lattice
+        return Isometry._trusted(lat, lat.gram_inverse() @ (self.mat.transpose() @ lat.gram))
 
     def __eq__(self, other):
         return isinstance(other, Isometry) and self.mat == other.mat \
@@ -115,34 +118,65 @@ def rank_update(lattice: Lattice, terms) -> Mat:
     return Mat._raw(n, n, ents, den)
 
 
-def reflection(lattice: Lattice, a) -> Isometry:
-    """Reflection in the mirror a: v -> v - 2(a,v)/(a,a) a."""
-    a = Vec(a)
+def apply_terms(lattice: Lattice, terms, v: Vec) -> Vec:
+    """rank_update(lattice, terms).apply(v) without building the matrix:
+    v + sum c (z, v) x, with G v computed once."""
+    gv = lattice.gram.apply(v)
+    out = list(v)
+    for c, x, z in terms:
+        k = c * sum(map(mul, z, gv))
+        if k:
+            for i, xi in enumerate(x):
+                if xi:
+                    out[i] += k * xi
+    return Vec(out)
+
+
+def _reflection_terms(lattice: Lattice, a: Vec) -> list:
     aa = lattice.norm(a)
     if aa == 0:
         raise IsotropicMirrorError("mirror vector is isotropic")
-    return Isometry._trusted(lattice, rank_update(lattice, [(Fraction(-2) / aa, a, a)]))
+    return [(as_scalar(Fraction(-2) / aa), a, a)]
+
+
+def _transvection_terms(lattice: Lattice, e: Vec, a: Vec) -> list:
+    if lattice.norm(e) != 0:
+        raise NotIsotropicError("base vector must be isotropic")
+    if lattice.inner(e, a) != 0:
+        raise NotOrthogonalError("(e, a) must vanish")
+    half_aa = as_scalar(Fraction(lattice.norm(a)) / 2)
+    return [(-1, e, a), (1, a, e), (-half_aa, e, e)]
+
+
+def reflection(lattice: Lattice, a) -> Isometry:
+    """Reflection in the mirror a: v -> v - 2(a,v)/(a,a) a."""
+    return Isometry._trusted(lattice, rank_update(lattice, _reflection_terms(lattice, Vec(a))))
 
 
 def transvection(lattice: Lattice, e, a) -> Isometry:
     """Unipotent map v -> v - (a,v)e + (e,v)a - (a,a)/2 (e,v)e for
     isotropic e and a orthogonal to e.  Rational e, a are allowed."""
-    e, a = Vec(e), Vec(a)
-    if lattice.norm(e) != 0:
-        raise NotIsotropicError("base vector must be isotropic")
-    if lattice.inner(e, a) != 0:
-        raise NotOrthogonalError("(e, a) must vanish")
-    half_aa = Fraction(lattice.norm(a)) / 2
-    return Isometry._trusted(lattice, rank_update(
-        lattice, [(-1, e, a), (1, a, e), (-half_aa, e, e)]))
+    terms = _transvection_terms(lattice, Vec(e), Vec(a))
+    return Isometry._trusted(lattice, rank_update(lattice, terms))
 
 
 # ---------------------------------------------------------------------
 # words of generators
 
+class _AtomAction:
+    """Atoms act on vectors through their validated rank-update terms;
+    only ``to_isometry`` builds a matrix."""
+
+    def act(self, lattice: Lattice, v: Vec) -> Vec:
+        return apply_terms(lattice, self.terms(lattice), v)
+
+
 @dataclass(frozen=True)
-class ReflectionAtom:
+class ReflectionAtom(_AtomAction):
     mirror: Vec
+
+    def terms(self, lattice: Lattice) -> list:
+        return _reflection_terms(lattice, self.mirror)
 
     def to_isometry(self, lattice: Lattice) -> Isometry:
         return reflection(lattice, self.mirror)
@@ -155,9 +189,12 @@ class ReflectionAtom:
 
 
 @dataclass(frozen=True)
-class TransvectionAtom:
+class TransvectionAtom(_AtomAction):
     e: Vec
     a: Vec
+
+    def terms(self, lattice: Lattice) -> list:
+        return _transvection_terms(lattice, self.e, self.a)
 
     def to_isometry(self, lattice: Lattice) -> Isometry:
         return transvection(lattice, self.e, self.a)
@@ -177,8 +214,11 @@ class TransvectionAtom:
 
 
 @dataclass(frozen=True)
-class InverseAtom:
+class InverseAtom(_AtomAction):
     atom: "Atom"
+
+    def terms(self, lattice: Lattice) -> list:
+        return self.atom.inverse().terms(lattice)
 
     def to_isometry(self, lattice: Lattice) -> Isometry:
         return self.atom.inverse().to_isometry(lattice)
@@ -236,7 +276,7 @@ class GroupWord:
     def apply(self, v) -> Vec:
         v = Vec(v)
         for atom in reversed(self.atoms):
-            v = atom.to_isometry(self.lattice).apply(v)
+            v = atom.act(self.lattice, v)
         return v
 
     def is_integral(self) -> bool:

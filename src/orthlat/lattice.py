@@ -105,6 +105,11 @@ class Lattice:
             self._cache["det"] = int(self.gram.det())
         return self._cache["det"]
 
+    def gram_inverse(self) -> Mat:
+        if "gram_inv" not in self._cache:
+            self._cache["gram_inv"] = self.gram.inv()
+        return self._cache["gram_inv"]
+
     def signature(self) -> tuple[int, int]:
         if "sig" not in self._cache:
             self._cache["sig"] = signature_of(self.gram)
@@ -141,7 +146,7 @@ class Lattice:
         v = Vec(v)
         if v.is_zero():
             raise ZeroVectorError("divisor of the zero vector")
-        return Vec(self.gram.apply(v)).content()
+        return self.gram.apply(v).content()
 
     def is_primitive(self, v) -> bool:
         v = Vec(v)

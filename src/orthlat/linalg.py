@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from orthlat import kernels
 from orthlat.errors import DegenerateFormError
@@ -51,6 +52,11 @@ class Vec(tuple):
 
     def __new__(cls, entries):
         return super().__new__(cls, (as_scalar(e) for e in entries))
+
+    @classmethod
+    def _raw(cls, entries) -> "Vec":
+        """Vector of entries that are already canonical scalars."""
+        return tuple.__new__(cls, entries)
 
     @classmethod
     def zero(cls, n: int) -> "Vec":
@@ -235,14 +241,17 @@ class Mat:
         return NotImplemented
 
     def apply(self, v) -> Vec:
-        """Matrix times column vector."""
+        """Matrix times column vector; an integral matrix and a vector of
+        plain ints give integer sums without building Fractions."""
         if len(v) != self.m:
             raise ValueError("shape mismatch")
+        m, e = self.m, self._ents
+        if self._den == 1 and all(type(x) is int for x in v):
+            return Vec._raw(sum(map(mul, e[i * m:(i + 1) * m], v)) for i in range(self.n))
         d = 1
         for x in v:
             d = lcm(d, _den(as_scalar(x)))
         w = [int(as_scalar(x) * d) for x in v]
-        m, e = self.m, self._ents
         out = []
         for i in range(self.n):
             base = i * m

@@ -1,9 +1,11 @@
-"""Property tests for the closed-form isometry matrices.
+"""Property tests for the closed-form isometries.
 
 Every reflection, transvection, P(s) and Heisenberg matrix is built by
-``rank_update``.  The reference oracles below are the direct
-constructions: one image of each basis vector per column, and the
-Heisenberg block matrix written out entry by entry.
+``rank_update``, and atoms act on vectors through the same terms
+without building a matrix.  The reference oracles below are the direct
+constructions: one image of each basis vector per column, the
+Heisenberg block matrix written out entry by entry, each atom's matrix
+applied to the vector, and Gauss-Jordan inversion.
 """
 
 import random
@@ -15,7 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 from orthlat.commutators import p_map
 from orthlat.discform import discriminant_form, enumerate_orth_d
 from orthlat.eichler import standard_splitting
+from orthlat.errors import IsotropicMirrorError, NotIsotropicError, NotOrthogonalError
 from orthlat.isometry import (
+    GroupWord,
     InverseAtom,
     ReflectionAtom,
     TransvectionAtom,
@@ -23,10 +27,10 @@ from orthlat.isometry import (
     reflection,
     transvection,
 )
-from orthlat.jacobi import heis_embed, jacobi_lattice
+from orthlat.jacobi import heis_embed, jacobi_embed, jacobi_lattice
 from orthlat.lattice import build
 from orthlat.linalg import Mat, Vec
-from orthlat.sampling import isotropic_vector, orthogonal_to
+from orthlat.sampling import integral_isometry, isotropic_vector, mixed_word, orthogonal_to
 
 SPECS = ("2U", "2U+<-2>", "2U+A2", "2U+<-6>+<4>")
 _LATTICES = {}
@@ -123,6 +127,28 @@ def anisotropic(lat, data) -> Vec:
     return a
 
 
+def rational_vector(lat, data) -> Vec:
+    return Vec(data.draw(st.lists(rationals, min_size=lat.rank, max_size=lat.rank)))
+
+
+def matrix_path(word, v):
+    """Each atom's matrix applied in turn, rightmost atom first."""
+    v = Vec(v)
+    for atom in reversed(word.atoms):
+        v = atom.to_isometry(word.lattice).apply(v)
+    return v
+
+
+def sl2(rng) -> Mat:
+    """Random integral 2x2 matrix of determinant 1, a product of
+    elementary matrices."""
+    m = Mat.identity(2)
+    for _ in range(rng.randint(0, 4)):
+        k = rng.randint(-3, 3)
+        m = m @ Mat([[1, k], [0, 1]] if rng.random() < 0.5 else [[1, 0], [k, 1]])
+    return m
+
+
 class TestRankUpdate:
     @PROPERTY
     @given(spec=specs, data=st.data())
@@ -184,6 +210,129 @@ class TestInverseAtom:
         lat = lattice(spec)
         atom = ReflectionAtom(anisotropic(lat, data))
         assert InverseAtom(atom).to_isometry(lat) == atom.to_isometry(lat).inverse()
+
+
+class TestAtomAction:
+    @PROPERTY
+    @given(spec=specs, seed=seeds, data=st.data())
+    def test_transvection(self, spec, seed, data):
+        lat, e, a = isotropic_pair(spec, seed)
+        v = rational_vector(lat, data)
+        for atom in (TransvectionAtom(e, a), InverseAtom(TransvectionAtom(e, a))):
+            assert atom.act(lat, v) == atom.to_isometry(lat).apply(v)
+
+    @PROPERTY
+    @given(spec=specs, data=st.data())
+    def test_reflection(self, spec, data):
+        lat = lattice(spec)
+        atom = ReflectionAtom(anisotropic(lat, data))
+        v = rational_vector(lat, data)
+        for atom in (atom, InverseAtom(atom)):
+            assert atom.act(lat, v) == atom.to_isometry(lat).apply(v)
+
+    @PROPERTY
+    @given(spec=st.sampled_from(("2U+A2", "2U+<-10>")), seed=seeds, data=st.data())
+    def test_word(self, spec, seed, data):
+        lat = lattice(spec)
+        rng = random.Random(seed)
+        word = mixed_word(standard_splitting(lat), rng, rng.randint(0, 8))
+        v = rational_vector(lat, data)
+        assert word.apply(v) == word.evaluate().apply(v)
+        u = Vec(rng.randint(-9, 9) for _ in range(lat.rank))
+        assert word.apply(u) == word.evaluate().apply(u)
+
+
+class TestIntegralApply:
+    @PROPERTY
+    @given(n=st.integers(0, 6), m=st.integers(0, 6), data=st.data())
+    def test_matches_fraction_path(self, n, m, data):
+        ints = st.integers(-(1 << 70), 1 << 70) | st.integers(-9, 9)
+        mat = Mat._raw(n, m, data.draw(st.lists(ints, min_size=n * m, max_size=n * m)), 1)
+        v = data.draw(st.lists(ints, min_size=m, max_size=m))
+        out = mat.apply(v)
+        assert out == mat.apply([Fraction(x) for x in v])
+        assert len(out) == n and all(type(x) is int for x in out)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.5])
+    def test_bool_and_float_raise(self, bad):
+        lat = lattice("2U")
+        with pytest.raises(TypeError):
+            Mat.identity(4).apply([bad, 0, 0, 1])
+        with pytest.raises(TypeError):
+            lat.inner([0, 1, bad, 0], [1, 0, 0, 0])
+
+
+class TestIsometryInverse:
+    @PROPERTY
+    @given(spec=specs, seed=seeds)
+    def test_integral(self, spec, seed):
+        rng = random.Random(seed)
+        g = integral_isometry(standard_splitting(lattice(spec)), rng, rng.randint(0, 6))
+        assert g.inverse().mat == g.mat.inv()
+
+    @PROPERTY
+    @given(l0=st.sampled_from(("<-2>", "A2", "<-6>+<4>")), seed=seeds)
+    def test_jacobi_embed(self, l0, seed):
+        _, split = jacobi_lattice(build(l0))
+        g = jacobi_embed(split, sl2(random.Random(seed)))
+        assert g.inverse().mat == g.mat.inv()
+
+    @PROPERTY
+    @given(spec=specs, seed=seeds, seed2=seeds)
+    def test_rational_transvections(self, spec, seed, seed2):
+        lat, e, a = isotropic_pair(spec, seed)
+        _, e2, a2 = isotropic_pair(spec, seed2)
+        for g in (transvection(lat, e, a), transvection(lat, e, a) * transvection(lat, e2, a2)):
+            assert g.inverse().mat == g.mat.inv()
+
+
+def _t(e, a):
+    return {"type": "transvection", "e": e, "a": a}
+
+
+_E, _F, _E1, _G = [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]
+
+
+class TestActionErrors:
+    """Bad atoms and vectors raise through ``GroupWord.apply`` what the
+    matrix path raises, in the same order: on 2U+<-2> the basis is
+    (e, f, e1, f1, g), with e isotropic, (e, f) = 1 and (g, g) = -2."""
+
+    @pytest.mark.parametrize("atoms, v, error, message", [
+        ([_t(_E, _E1)], [1, 2, 3, 4], ValueError, "shape mismatch"),
+        ([_t(_E, _E1)], [1, 2, 3, 4, 5, 6], ValueError, "shape mismatch"),
+        ([_t(_G, _E1)], _F, NotIsotropicError, "base vector must be isotropic"),
+        ([_t(_G, _G)], _F, NotIsotropicError, "base vector must be isotropic"),
+        ([_t(_E, _F)], _F, NotOrthogonalError, "(e, a) must vanish"),
+        ([{"type": "reflection", "mirror": _E}], _F, IsotropicMirrorError,
+         "mirror vector is isotropic"),
+        ([{"type": "inverse", "atom": _t(_G, _E1)}], _F, NotIsotropicError,
+         "base vector must be isotropic"),
+        ([_t(_E, _F), _t(_G, _E1)], _F, NotIsotropicError, "base vector must be isotropic"),
+        ([_t(_E, _F), _t(_E, _E1)], [1, 2], ValueError, "shape mismatch"),
+        ([_t(_E, _E1), _t(_E, _F)], [1, 2], NotOrthogonalError, "(e, a) must vanish"),
+    ])
+    def test_same_error_as_matrix_path(self, atoms, v, error, message):
+        word = GroupWord.from_json(lattice("2U+<-2>"), atoms)
+        with pytest.raises(error) as got:
+            word.apply(v)
+        assert str(got.value) == message
+        with pytest.raises(error) as want:
+            matrix_path(word, v)
+        assert str(want.value) == message
+
+    @pytest.mark.parametrize("atoms", [
+        [_t([1, 0, 0, 0], _E1)],
+        [_t(_E, [0, 0, 1])],
+        [{"type": "reflection", "mirror": [0, 0, 0, 0, 1, 0]}],
+    ])
+    def test_wrong_length_atom(self, atoms):
+        word = GroupWord.from_json(lattice("2U+<-2>"), atoms)
+        with pytest.raises(ValueError) as got:
+            word.apply(_F)
+        with pytest.raises(ValueError) as want:
+            matrix_path(word, _F)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("spec", ["U(2)", "2U+<-2>+<-2>", "2U+<-2>+<-6>", "2U+<-4>+<-4>"])
