@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 
 from orthlat.errors import (
     NotIsometryError,
@@ -35,7 +36,8 @@ def _mod(x, modulus) -> Fraction:
 class DiscriminantForm:
     """D(L) with its Q/2Z-valued quadratic form."""
 
-    __slots__ = ("lattice", "orders", "generators", "_idx", "_umat", "_gen_gram")
+    __slots__ = ("lattice", "orders", "generators", "_idx", "_umat", "_gen_gram",
+                 "_gram_rows", "_class_rows")
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
@@ -45,6 +47,9 @@ class DiscriminantForm:
         self._idx = tuple(idx)
         self.orders = tuple(int(s[i, i]) for i in idx)
         self._umat = u
+        self._gram_rows = lattice.gram.int_rows()
+        urows = u.int_rows()
+        self._class_rows = [urows[i] for i in idx]
         w = (u @ lattice.gram).inv()
         self.generators = tuple(w.col(i) for i in idx)
         self._gen_gram = [
@@ -77,6 +82,24 @@ class DiscriminantForm:
             raise ValueError("vector is not in the dual lattice")
         c = self._umat.apply(gx)
         return self.element([int(c[i]) for i in self._idx])
+
+    def primitive_invariant(self, v) -> tuple[int, int, "DiscElement"]:
+        """(v.v, div(v), class of v/div(v)) of a primitive lattice vector,
+        in one integer pass: with g = G v and d = gcd(g), the class has
+        coordinates (U g/d)[idx] mod orders.  A vector that is zero,
+        not integral or not primitive raises NotPrimitiveError, before
+        a wrong length raises ValueError."""
+        v = Vec(v)
+        if not self.lattice.is_primitive(v):
+            raise NotPrimitiveError("class_of needs a primitive vector")
+        if len(v) != self.lattice.rank:
+            raise ValueError("shape mismatch")
+        g = [sum(map(mul, row, v)) for row in self._gram_rows]
+        d = gcd(*g)
+        w = [x // d for x in g]
+        coords = tuple(sum(map(mul, row, w)) % o
+                       for row, o in zip(self._class_rows, self.orders))
+        return sum(map(mul, v, g)), d, DiscElement(self, coords)
 
     def q(self, elem: "DiscElement") -> Fraction:
         acc = Fraction(0)
@@ -142,11 +165,7 @@ def discriminant_form(lattice: Lattice) -> DiscriminantForm:
 
 def class_of(lattice: Lattice, v) -> DiscElement:
     """Class of v/div(v) in D(L); its order equals div(v)."""
-    v = Vec(v)
-    if not lattice.is_primitive(v):
-        raise NotPrimitiveError("class_of needs a primitive vector")
-    d = lattice.divisor(v)
-    return discriminant_form(lattice).class_of_dual(v / d)
+    return discriminant_form(lattice).primitive_invariant(v)[2]
 
 
 # ---------------------------------------------------------------------

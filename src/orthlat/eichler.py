@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from orthlat.discform import DiscElement, class_of
+from orthlat.discform import DiscElement, class_of, discriminant_form
 from orthlat.errors import (
     EquivalenceFailsError,
     InternalSolveFailureError,
@@ -220,9 +220,8 @@ class OrbitInvariant:
 
 
 def orbit_invariant(lattice: Lattice, v) -> OrbitInvariant:
-    v = Vec(v)
-    cls = class_of(lattice, v)
-    return OrbitInvariant(int(lattice.norm(v)), cls, lattice.divisor(v))
+    norm, divisor, cls = discriminant_form(lattice).primitive_invariant(v)
+    return OrbitInvariant(norm, cls, divisor)
 
 
 def eichler_equivalent(split: HyperbolicSplitting, u, v) -> bool:

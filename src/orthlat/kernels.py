@@ -4,9 +4,15 @@ enumeration.
 Both work on flat row-major lists of Python ints, so every sum is exact
 at any size.  ``Mat.__matmul__`` and ``Lattice.enumerate_vectors`` call
 them by module attribute.
+
+Enumeration never visits the whole box.  An odometer walks the first
+n - 1 coordinates and carries the prefix's G v and norm, updated in
+O(n) per step; for each prefix the norm is a quadratic in the last
+coordinate x, solved exactly with ``math.isqrt``.  The work is
+(2 box + 1)^(n - 1) steps, not (2 box + 1)^n norms of O(n^2) each.
 """
 
-from itertools import product
+from math import isqrt
 
 BACKEND = "python"
 
@@ -25,24 +31,68 @@ def imat_mul(a, b, n, k, m):
     return out
 
 
+def _last_coordinates(a, b, c, box):
+    """The x in [-box, box] with a x^2 + 2 b x + c == 0, ascending."""
+    if a == 0:
+        if b == 0:
+            return range(-box, box + 1) if c == 0 else ()
+        x, r = divmod(-c, 2 * b)
+        return (x,) if r == 0 and -box <= x <= box else ()
+    disc = b * b - a * c
+    if disc < 0:
+        return ()
+    s = isqrt(disc)
+    if s * s != disc:
+        return ()
+    # x = (-b -+ s) / a; ascending whatever the sign of a
+    ends = (-b - s, -b + s) if a > 0 else (-b + s, -b - s)
+    if s == 0:
+        ends = ends[:1]
+    return tuple(x for x, r in (divmod(t, a) for t in ends)
+                 if r == 0 and -box <= x <= box)
+
+
 def enum_norm_vectors(gram, n, target, box):
     """All integer coordinate vectors in [-box, box]^n with v^T G v == target.
 
-    ``gram`` is the flat row-major n*n Gram matrix.  Output is a list of
-    tuples in ascending lexicographic order.
+    ``gram`` is the flat row-major n*n symmetric Gram matrix.  Output is
+    a list of tuples in ascending lexicographic order.
+
+    The first n - 1 coordinates run through the box as an odometer (the
+    last of them fastest) carrying g = G v and the norm p of the prefix.
+    With the prefix fixed, the full norm is a x^2 + 2 b x + p, where
+    a = G[n-1][n-1] and b = g[n-1], so the last coordinate x solves
+    a x^2 + 2 b x + (p - target) == 0; solutions come out ascending.
     """
+    if n == 0:
+        return [()] if target == 0 else []
+    if box < 0:
+        return []
+    m = n - 1
+    a = gram[m * n + m]
+    cols = [gram[k::n] for k in range(m)]          # column k == row k
+    diag = [gram[k * n + k] for k in range(m)]
+    span = 2 * box
+    wraps = [[-span * x for x in col] for col in cols]
+    v = [-box] * m
+    g = [-box * sum(gram[i * n:i * n + m]) for i in range(n)]
+    p = -box * sum(g[:m])
     out = []
-    rng = range(-box, box + 1)
-    for coords in product(rng, repeat=n):
-        s = 0
-        for i in range(n):
-            ci = coords[i]
-            if ci:
-                base = i * n
-                acc = 0
-                for j in range(n):
-                    acc += gram[base + j] * coords[j]
-                s += ci * acc
-        if s == target:
-            out.append(coords)
-    return out
+    while True:
+        xs = _last_coordinates(a, g[m], p - target, box)
+        if xs:
+            prefix = tuple(v)
+            out.extend(prefix + (x,) for x in xs)
+        # advance: a coordinate at +box wraps to -box and carries left;
+        # moving v[k] by t adds 2 t g[k] + t^2 G[k][k] to the norm
+        k = m - 1
+        while k >= 0 and v[k] == box:
+            p += -2 * span * g[k] + span * span * diag[k]
+            g = [x + y for x, y in zip(g, wraps[k])]
+            v[k] = -box
+            k -= 1
+        if k < 0:
+            return out
+        p += 2 * g[k] + diag[k]
+        g = [x + y for x, y in zip(g, cols[k])]
+        v[k] += 1

@@ -20,6 +20,7 @@ from orthlat.errors import (
     NotIsometryError,
     OddDiagonalError,
     SpecParseError,
+    TooLargeError,
     ZeroVectorError,
 )
 from orthlat.linalg import Mat, Vec, signature_of, smith_normal_form
@@ -30,6 +31,10 @@ _E8_BONDS = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 _E8_GRAM = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
 for _i, _j in _E8_BONDS:
     _E8_GRAM[_i - 1][_j - 1] = _E8_GRAM[_j - 1][_i - 1] = -1
+
+# Most odometer steps one box enumeration may take: about 1.5 s of
+# CPU, and 17 times the (2*4 + 1)^5 steps of a 2U+A2 census in box 4.
+ENUM_STEP_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -149,16 +154,28 @@ class Lattice:
         return self.gram.apply(v).content()
 
     def is_primitive(self, v) -> bool:
+        """Whether v is a lattice vector (integral) with content 1."""
         v = Vec(v)
-        return v.content() == 1
+        return v.is_integral() and v.content() == 1
 
     # -- enumeration ----------------------------------------------------
     def enumerate_vectors(self, norm: int, box: int) -> list[Vec]:
         """All v with coordinates in [-box, box]^rank and (v, v) == norm,
-        in ascending lexicographic order."""
+        in ascending lexicographic order.
+
+        Raises TooLargeError, before any work, when the enumeration
+        needs more than ENUM_STEP_BUDGET odometer steps."""
+        box = int(box)
+        if box < 0:
+            return []
+        steps = (2 * box + 1) ** (self.rank - 1)
+        if steps > ENUM_STEP_BUDGET:
+            raise TooLargeError(
+                f"box {box} at rank {self.rank} needs {steps} enumeration steps, "
+                f"over the budget of {ENUM_STEP_BUDGET}")
         flat = [x for row in self.gram.int_rows() for x in row]
-        hits = kernels.enum_norm_vectors(flat, self.rank, int(norm), int(box))
-        return [Vec(h) for h in hits]
+        hits = kernels.enum_norm_vectors(flat, self.rank, int(norm), box)
+        return [Vec._raw(h) for h in hits]
 
     # -- root existence -------------------------------------------------
     def find_root_witness(self, search_box: int):

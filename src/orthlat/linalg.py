@@ -96,10 +96,7 @@ class Vec(tuple):
 
     def content(self) -> int:
         """gcd of the entries (integral vectors only)."""
-        g = 0
-        for a in self:
-            g = gcd(g, a)
-        return g
+        return gcd(*self)
 
     def __repr__(self):
         return f"Vec({list(self)!r})"

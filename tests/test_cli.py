@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from orthlat.cli import main
 
 
@@ -57,6 +59,32 @@ class TestLattice:
         assert code == 0
         assert data["classCount"] == 2
         assert sum(c["count"] for c in data["classes"]) == 358
+
+    def test_census_negative_box_is_empty(self, capsys):
+        code, data = run_json(capsys, "lattice", "census", "--spec", "2U+A2", "--box", "-1")
+        assert code == 0
+        assert data == {"box": -1, "classCount": 0, "classes": []}
+
+    def test_census_box_zero(self, capsys):
+        code, data = run_json(capsys, "lattice", "census", "--spec", "2U+<-2>", "--box", "0")
+        assert code == 0
+        assert data == {"box": 0, "classCount": 0, "classes": []}
+
+    def test_census_rank21_too_large(self, capsys):
+        code, data = run_json(capsys, "lattice", "census", "--spec", "2U+2E8(-1)+<-6>",
+                              "--box", "1")
+        assert code == 1
+        assert data["error"] == "too-large"
+
+    def test_kneser_rank21_file_too_large(self, capsys, tmp_path):
+        # a --file lattice has no blocks, and this one no -2 on the
+        # diagonal, so the root search has to enumerate the box
+        code, data = run_json(capsys, "lattice", "info", "--spec", "2U+2E8(-2)+<-6>")
+        path = tmp_path / "rank21.json"
+        path.write_text(json.dumps(data))
+        code, data = run_json(capsys, "lattice", "kneser", "--file", str(path), "--box", "2")
+        assert code == 1
+        assert data["error"] == "too-large"
 
     def test_round_trip_through_file(self, capsys, tmp_path):
         code, data = run_json(capsys, "lattice", "info", "--spec", "2U+A2(-1)")
@@ -149,6 +177,13 @@ class TestOrbit:
         assert code == 0
         assert data["verified"] is True
         assert all(atom["type"] == "transvection" for atom in data["witness"])
+
+    @pytest.mark.parametrize("cmd", ["equiv", "transport"])
+    def test_rational_vector_not_primitive(self, capsys, cmd):
+        code, data = run_json(capsys, "orbit", cmd, "--spec", "2U+<-2>",
+                              "--json", '{"u": ["1/2","0","0","0","0"], "v": ["1","0","0","0","0"]}')
+        assert code == 1
+        assert data["error"] == "not-primitive"
 
     def test_transport_refuses(self, capsys):
         code, data = run_json(capsys, "orbit", "transport", "--spec", "2U+<-2>",

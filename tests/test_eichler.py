@@ -1,10 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from orthlat.discform import class_of
+from orthlat.discform import class_of, discriminant_form
 from orthlat.eichler import (
     HyperbolicSplitting,
     eichler_equivalent,
@@ -24,8 +26,8 @@ from orthlat.errors import (
     UnsupportedCoordinatesError,
 )
 from orthlat.isometry import Isometry, membership, reflection, transvection
-from orthlat.lattice import build
-from orthlat.linalg import Vec
+from orthlat.lattice import Lattice, build
+from orthlat.linalg import Mat, Vec
 from orthlat.sampling import mixed_word, transvection_word
 
 
@@ -301,3 +303,81 @@ class TestCensus:
         for entry in rep.entries:
             assert entry.invariant.divisor == lat.divisor(entry.witness)
             assert lat.norm(entry.witness) == -2
+
+
+# ---------------------------------------------------------------------
+# the one-pass invariant against the Fraction path it replaced
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# 2U+A2 after a fixed unimodular change of basis, so that no block
+# structure is left (the Gram of the benchmark's census lattice
+# without blocks, before its seeded signed permutation).
+HIDDEN_GRAM = [[8, 4, -3, -1, 3, -3],
+               [4, 2, -1, 0, 2, -3],
+               [-3, -1, 2, 1, -1, 0],
+               [-1, 0, 1, 0, 0, 0],
+               [3, 2, -1, 0, 2, -3],
+               [-3, -3, 0, 0, -3, 6]]
+INVARIANT_LATTICES = {
+    "2U+A2(-3)+<-6>": build("2U+A2(-3)+<-6>"),
+    "2U+<-6>+A2(-3)+<-4>": build("2U+<-6>+A2(-3)+<-4>"),
+    "hidden 2U+A2": Lattice(Mat(HIDDEN_GRAM)),
+}
+
+
+def class_of_reference(lat, v):
+    """Class of v/div(v): divide by the divisor in Fractions and reduce
+    the dual vector through class_of_dual."""
+    v = Vec(v)
+    if not lat.is_primitive(v):
+        raise NotPrimitiveError("class_of needs a primitive vector")
+    return discriminant_form(lat).class_of_dual(v / lat.divisor(v))
+
+
+@st.composite
+def primitive_vectors(draw):
+    name = draw(st.sampled_from(sorted(INVARIANT_LATTICES)))
+    lat = INVARIANT_LATTICES[name]
+    v = draw(st.lists(st.integers(-7, 7), min_size=lat.rank, max_size=lat.rank))
+    assume(gcd(*v) == 1)
+    return lat, v
+
+
+class TestOrbitInvariantOnePass:
+    @PROPERTY
+    @given(primitive_vectors())
+    def test_matches_fraction_reference(self, case):
+        lat, v = case
+        ref = class_of_reference(lat, v)
+        inv = orbit_invariant(lat, v)
+        assert inv.disc_class == ref
+        assert inv.divisor == lat.divisor(v) == ref.order()
+        assert inv.norm == lat.norm(v)
+        assert class_of(lat, v) == ref
+
+    def test_every_census_root(self):
+        lat = INVARIANT_LATTICES["2U+A2(-3)+<-6>"]
+        for r in lat.enumerate_vectors(-2, 1):
+            assert orbit_invariant(lat, r).disc_class == class_of_reference(lat, r)
+
+    @pytest.mark.parametrize("v", [
+        [Fraction(1, 2), 0, 0, 0, 0],       # not a lattice vector
+        [1, 0, 0, 0, Fraction(1, 3)],
+        [0, 0, 0, 0, 0],
+        [2, 0, 0, 0, 4],
+        [2, 0, 0, 0],                       # not primitive before wrong length
+        [],
+    ])
+    def test_not_primitive(self, l5, v):
+        lat, _ = l5
+        with pytest.raises(NotPrimitiveError):
+            orbit_invariant(lat, v)
+        with pytest.raises(NotPrimitiveError):
+            class_of(lat, v)
+
+    def test_wrong_length_after_primitivity(self, l5):
+        lat, _ = l5
+        for fn in (orbit_invariant, class_of):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                fn(lat, [1, 0, 0, 0])

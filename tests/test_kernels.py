@@ -1,7 +1,11 @@
 import random
 from itertools import product
 
+from hypothesis import assume, example, given, settings, strategies as st
+
 from orthlat import kernels
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def naive_matmul(a, b, n, k, m):
@@ -62,6 +66,63 @@ class TestEnum:
     def test_exhaustive_against_product_loop(self):
         gram = [2, -1, -1, 2]
         assert kernels.enum_norm_vectors(gram, 2, 2, 3) == product_loop(gram, 2, 2, 3)
+
+
+def connected(gram, n):
+    """Whether the nonzero pattern of the flat Gram matrix links every
+    basis vector, i.e. the matrix is not block-diagonal."""
+    reached, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if gram[i * n + j] and j not in reached:
+                reached.add(j)
+                todo.append(j)
+    return len(reached) == n
+
+
+@st.composite
+def enum_cases(draw):
+    """(gram, n, target, box) with a random symmetric Gram matrix that
+    is not block-diagonal; the last basis vector is isotropic in about
+    half of the cases."""
+    n = draw(st.integers(1, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        rows[n - 1][n - 1] = 0
+    gram = [x for row in rows for x in row]
+    assume(connected(gram, n))
+    box = draw(st.integers(0, 3 if n < 5 else 2))
+    return gram, n, draw(st.integers(-6, 6)), box
+
+
+class TestEnumProperties:
+    """The last-coordinate solve against the product loop."""
+
+    @PROPERTY
+    @given(enum_cases())
+    @example(([2], 1, 2, 3))                      # n = 1, two roots
+    @example(([-6], 1, -6, 2))                    # n = 1, negative a and target
+    @example(([4], 1, 5, 3))                      # n = 1, no square root
+    @example(([0, 1, 1, 0], 2, 0, 2))             # a = 0: b = c = 0 fills the box
+    @example(([0, 1, 1, 0], 2, -4, 2))            # a = 0: linear, both signs of b
+    @example(([0, 3, 3, 0], 2, 2, 3))             # a = 0: 2 b does not divide c
+    @example(([2, -1, -1, 2], 2, 2, 0))           # box 0
+    @example(([2, 1, 0, 1, 0, 3, 0, 3, -2], 3, -2, 2))   # a < 0: roots reversed
+    @example(([-2, 1, 1, 0], 2, 6, 3))            # a = 0 behind a negative diagonal
+    def test_matches_product_loop(self, case):
+        gram, n, target, box = case
+        assert kernels.enum_norm_vectors(gram, n, target, box) == \
+            product_loop(gram, n, target, box)
+
+    def test_rank_zero_and_negative_box(self):
+        assert kernels.enum_norm_vectors([], 0, 0, 2) == product_loop([], 0, 0, 2) == [()]
+        assert kernels.enum_norm_vectors([], 0, 1, 2) == []
+        gram = [2, -1, -1, 2]
+        assert kernels.enum_norm_vectors(gram, 2, 2, -1) == product_loop(gram, 2, 2, -1) == []
 
 
 def test_backend_reported():

@@ -2,8 +2,17 @@ import random
 
 import pytest
 
-from orthlat.errors import OddDiagonalError, SpecParseError, ZeroVectorError
-from orthlat.lattice import Lattice, build, lattice_from_json, lattice_to_json
+from fractions import Fraction
+
+from orthlat import kernels
+from orthlat.errors import OddDiagonalError, SpecParseError, TooLargeError, ZeroVectorError
+from orthlat.lattice import (
+    ENUM_STEP_BUDGET,
+    Lattice,
+    build,
+    lattice_from_json,
+    lattice_to_json,
+)
 from orthlat.linalg import Mat, Vec, invariant_factors
 
 
@@ -130,6 +139,12 @@ class TestDivisor:
         with pytest.raises(ZeroVectorError):
             build("U").divisor([0, 0])
 
+    def test_rational_vector_is_not_primitive(self):
+        u = build("U")
+        assert not u.is_primitive([Fraction(1, 2), 0])
+        assert not u.is_primitive([Fraction(1, 2), 1])
+        assert u.is_primitive([Fraction(2, 2), 0])
+
     def test_divisor_divides_det(self):
         lat = build("2U+<-4>")
         for v in lat.enumerate_vectors(-2, 2):
@@ -164,8 +179,40 @@ class TestEnumeration:
         assert all(lat.norm(v) == 2 for v in got)
         assert got == sorted(got)
 
+    def test_negative_box_is_empty(self):
+        assert build("2U+A2").enumerate_vectors(-2, -1) == []
+        # (2 box + 1)^(rank - 1) is a huge positive number here
+        assert build("2U+2E8(-1)+<-6>").enumerate_vectors(-2, -5) == []
+
+    def test_box_zero(self):
+        lat = build("2U+A2")
+        assert lat.enumerate_vectors(0, 0) == [Vec([0] * 6)]
+        assert lat.enumerate_vectors(-2, 0) == []
+
+    def test_rank_one_any_box(self):
+        # one odometer step: the last coordinate is solved, not searched
+        assert build("<-2>").enumerate_vectors(-2, 10 ** 9) == [Vec([-1]), Vec([1])]
+
+    def test_over_budget_raises_before_enumerating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(kernels, "enum_norm_vectors", refuse)
+        lat = build("2U+2E8(-1)+<-6>")
+        assert 3 ** (lat.rank - 1) > ENUM_STEP_BUDGET
+        with pytest.raises(TooLargeError):
+            lat.enumerate_vectors(-2, 1)
+        with pytest.raises(TooLargeError):
+            build("<-2>+<-2>").enumerate_vectors(-2, ENUM_STEP_BUDGET // 2)
+
 
 class TestKneser:
+    def test_file_lattice_over_budget(self):
+        # no blocks and no -2 on the diagonal: the root search enumerates
+        lat = lattice_from_json(lattice_to_json(build("2U+2E8(-2)+<-6>")))
+        with pytest.raises(TooLargeError):
+            lat.kneser_check(2)
+
     def test_k3_lattices_pass(self):
         for d in (1, 3, 6):
             rep = build(f"2U+2E8(-1)+<-{2 * d}>").kneser_check()
