@@ -18,7 +18,6 @@ from orthlat.isometry import (
     membership,
     reflection,
     spinor_norm_q,
-    spinor_norm_r,
     transvection,
 )
 from orthlat.lattice import (
@@ -35,12 +34,6 @@ class UsageError(Exception):
 
 
 # -- scalar/vector/matrix (de)serialization ---------------------------
-
-def _fmt(x) -> str:
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
-
 
 def _parse_scalar(s) -> int | Fraction:
     try:
@@ -62,11 +55,11 @@ def _parse_mat(data) -> Mat:
 
 
 def _fmt_vec(v) -> list[str]:
-    return [_fmt(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _fmt_mat(m: Mat) -> list[list[str]]:
-    return [[_fmt(x) for x in m.row(i)] for i in range(m.n)]
+    return [_fmt_vec(m.row(i)) for i in range(m.n)]
 
 
 def _load_lattice(args) -> Lattice:
@@ -171,7 +164,7 @@ def cmd_disc_form(args) -> dict:
         aut_order = None
     return {
         "orders": [str(d) for d in form.orders],
-        "q": [_fmt(form.q(g)) for g in gens],
+        "q": [str(form.q(g)) for g in gens],
         "autOrder": aut_order,
     }
 
@@ -197,11 +190,8 @@ def cmd_elem_spinor(args) -> dict:
     lat = _load_lattice(args)
     mat = _parse_mat(_need(_payload(args), "matrix"))
     g = Isometry(lat, mat)
-    return {
-        "snQ": str(spinor_norm_q(g)),
-        "snR": spinor_norm_r(g),
-        "det": g.det(),
-    }
+    sn = spinor_norm_q(g)
+    return {"snQ": str(sn), "snR": 1 if sn > 0 else -1, "det": g.det()}
 
 
 def cmd_elem_reflect(args) -> dict:
@@ -315,7 +305,7 @@ def cmd_witness_master(args) -> dict:
     s = _parse_scalar(_need(data, "s"))
     holds = commutators.verify_master_identity(split, w, s)
     c = 1 - Fraction(s) * Fraction(split.lattice.norm(w)) / 2
-    return {"holds": holds, "scale": _fmt(c * c)}
+    return {"holds": holds, "scale": str(c * c)}
 
 
 def cmd_suite_run(args) -> dict:

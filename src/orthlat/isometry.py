@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from orthlat import discform
 from orthlat.errors import (
@@ -83,16 +82,6 @@ class Isometry:
         return f"Isometry({self.mat!r})"
 
 
-def _numerators(v) -> tuple[list[int], int]:
-    """Integer numerators of an exact vector over its least common
-    denominator."""
-    d = 1
-    for x in v:
-        if isinstance(x, Fraction):
-            d = lcm(d, x.denominator)
-    return [int(x * d) for x in v], d
-
-
 def rank_update(lattice: Lattice, terms) -> Mat:
     """Matrix of v -> v + sum c (z, v) x over the terms (c, x, z).
 
@@ -102,10 +91,8 @@ def rank_update(lattice: Lattice, terms) -> Mat:
     n = lattice.rank
     parts = []
     for c, x, z in terms:
-        c = Fraction(c)
-        xs, dx = _numerators(x)
-        gz, dz = _numerators(lattice.gram.apply(z))
-        parts.append((c.numerator, xs, gz, c.denominator * dx * dz))
+        x, gz = Vec(x), lattice.gram.apply(z)
+        parts.append((c.numerator, x._ents, gz._ents, c.denominator * x._den * gz._den))
     den = lcm(*(d for *_, d in parts))
     ents = [den if i == j else 0 for i in range(n) for j in range(n)]
     for cn, xs, gz, d in parts:
@@ -118,18 +105,27 @@ def rank_update(lattice: Lattice, terms) -> Mat:
     return Mat._raw(n, n, ents, den)
 
 
-def apply_terms(lattice: Lattice, terms, v: Vec) -> Vec:
+def apply_terms(lattice: Lattice, terms, v) -> Vec:
     """rank_update(lattice, terms).apply(v) without building the matrix:
-    v + sum c (z, v) x, with G v computed once."""
+    v + sum c (z, v) x, with G v computed once and the sum accumulated
+    as integer numerators over one denominator."""
+    v = Vec(v)
     gv = lattice.gram.apply(v)
-    out = list(v)
+    out, den = list(v._ents), v._den
     for c, x, z in terms:
-        k = c * sum(map(mul, z, gv))
+        k = c * gv.dot(z)
         if k:
-            for i, xi in enumerate(x):
+            x = Vec(x)
+            kd = k.denominator * x._den
+            d = lcm(den, kd)
+            if d != den:
+                out = [a * (d // den) for a in out]
+                den = d
+            k = k.numerator * (d // kd)
+            for i, xi in enumerate(x._ents):
                 if xi:
                     out[i] += k * xi
-    return Vec(out)
+    return Vec._raw(out, den)
 
 
 def _reflection_terms(lattice: Lattice, a: Vec) -> list:

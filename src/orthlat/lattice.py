@@ -82,11 +82,7 @@ class Lattice:
     # -- basic bilinear data ------------------------------------------
     def inner(self, u, v):
         """Bilinear form (u, v) of two coordinate vectors."""
-        gu = self.gram.apply(u)
-        acc = 0
-        for a, b in zip(gu, v, strict=True):
-            acc += a * b
-        return acc if isinstance(acc, int) else (int(acc) if acc.denominator == 1 else acc)
+        return self.gram.apply(u).dot(v)
 
     def norm(self, v):
         return self.inner(v, v)
@@ -319,6 +315,14 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(data: dict) -> Lattice:
-    gram = Mat([[int(x) for x in row] for row in data["gram"]])
+    """Inverse of lattice_to_json.  Gram entries are integers, as decimal
+    strings or JSON integers; any other shape raises ValueError."""
+    rows = data.get("gram") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError('lattice JSON must be an object whose "gram" is a list of lists')
+    gram = Mat([[int(str(x)) for x in row] for row in rows])
     labels = data.get("labels")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == gram.n
+                                   and all(isinstance(x, str) for x in labels)):
+        raise ValueError(f"labels must be a list of {gram.n} strings")
     return Lattice(gram, labels)

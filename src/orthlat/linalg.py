@@ -1,9 +1,11 @@
 """Exact linear algebra over the integers and rationals.
 
-Scalars are Python ints and ``fractions.Fraction``; a matrix is stored
-as integer entries over a single positive denominator, normalized so
-that the gcd of all entries with the denominator is 1.  Equality is
-exact entrywise equality and nothing here ever touches floating point.
+Scalars are Python ints and ``fractions.Fraction``.  Vectors and
+matrices share one representation: integer numerators over a single
+positive denominator, normalized so that the gcd of all numerators with
+the denominator is 1.  Reading an entry gives its canonical scalar, an
+int when integral and a reduced Fraction otherwise.  Equality is exact
+and nothing here ever touches floating point.
 
 Besides the ``Vec``/``Mat`` containers this module provides the three
 integral workhorses used everywhere else: Smith normal form with
@@ -43,56 +45,105 @@ def parse_scalar(s) -> Scalar:
     return int(s)
 
 
-def _den(x: Scalar) -> int:
-    return x.denominator if isinstance(x, Fraction) else 1
+def _normalize(ents, den):
+    """Numerators and positive denominator divided by their common gcd."""
+    ents = tuple(ents)
+    g = gcd(den, *ents)
+    return (ents, den) if g == 1 else (tuple(e // g for e in ents), den // g)
 
 
-class Vec(tuple):
+def _scalar(e: int, d: int) -> Scalar:
+    """The canonical scalar e/d for d > 0: an int when d divides e."""
+    return e // d if e % d == 0 else Fraction(e, d)
+
+
+class Vec:
     """Immutable exact vector with componentwise arithmetic."""
 
+    __slots__ = ("_ents", "_den")
+
     def __new__(cls, entries):
-        return super().__new__(cls, (as_scalar(e) for e in entries))
+        if type(entries) is Vec:
+            return entries
+        xs = [as_scalar(x) for x in entries]
+        den = lcm(*(x.denominator for x in xs))
+        return cls._raw([x.numerator * (den // x.denominator) for x in xs], den)
 
     @classmethod
-    def _raw(cls, entries) -> "Vec":
-        """Vector of entries that are already canonical scalars."""
-        return tuple.__new__(cls, entries)
+    def _raw(cls, ents, den=1) -> "Vec":
+        """Vector of integer numerators over a positive denominator."""
+        self = object.__new__(cls)
+        self._ents, self._den = _normalize(ents, den)
+        return self
 
     @classmethod
     def zero(cls, n: int) -> "Vec":
-        return cls([0] * n)
+        return cls._raw([0] * n)
 
     @classmethod
     def unit(cls, n: int, i: int) -> "Vec":
-        return cls(1 if j == i else 0 for j in range(n))
+        return cls._raw([1 if j == i else 0 for j in range(n)])
+
+    def __len__(self):
+        return len(self._ents)
+
+    def __iter__(self):
+        d = self._den
+        if d == 1:
+            return iter(self._ents)
+        return (_scalar(e, d) for e in self._ents)
+
+    def __getitem__(self, i: int) -> Scalar:
+        return _scalar(self._ents[i], self._den)
+
+    def __eq__(self, other):
+        if not isinstance(other, Vec):
+            return NotImplemented
+        return self._den == other._den and self._ents == other._ents
+
+    def __hash__(self):
+        return hash((self._den, self._ents))
+
+    def __lt__(self, other):
+        """Lexicographic order of the entries."""
+        if self._den == other._den:
+            return self._ents < other._ents
+        return tuple(self) < tuple(other)
 
     def __add__(self, other):
-        return Vec(a + b for a, b in zip(self, other, strict=True))
-
-    def __radd__(self, other):
-        return self.__add__(other)
+        other = Vec(other)
+        d = lcm(self._den, other._den)
+        a, b = d // self._den, d // other._den
+        ents = [x * a + y * b for x, y in zip(self._ents, other._ents, strict=True)]
+        return Vec._raw(ents, d)
 
     def __sub__(self, other):
-        return Vec(a - b for a, b in zip(self, other, strict=True))
+        return self + -Vec(other)
 
     def __neg__(self):
-        return Vec(-a for a in self)
+        return Vec._raw([-e for e in self._ents], self._den)
 
     def __mul__(self, c):
         c = as_scalar(c)
-        return Vec(a * c for a in self)
+        return Vec._raw([e * c.numerator for e in self._ents], self._den * c.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        c = as_scalar(c)
-        return Vec(Fraction(a) / c for a in self)
+        return self * (1 / Fraction(as_scalar(c)))
+
+    def dot(self, other) -> Scalar:
+        """Exact sum of the componentwise products."""
+        other = Vec(other)
+        if len(other._ents) != len(self._ents):
+            raise ValueError("length mismatch")
+        return _scalar(sum(map(mul, self._ents, other._ents)), self._den * other._den)
 
     def is_zero(self) -> bool:
-        return not any(self)
+        return not any(self._ents)
 
     def is_integral(self) -> bool:
-        return all(_den(a) == 1 for a in self)
+        return self._den == 1
 
     def content(self) -> int:
         """gcd of the entries (integral vectors only)."""
@@ -108,39 +159,21 @@ class Mat:
     __slots__ = ("n", "m", "_ents", "_den")
 
     def __init__(self, rows):
-        rows = [[as_scalar(x) for x in row] for row in rows]
+        rows = [Vec(r) for r in rows]
         n = len(rows)
         m = len(rows[0]) if n else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        den = 1
-        for row in rows:
-            for x in row:
-                den = lcm(den, _den(x))
-        ents = []
-        for row in rows:
-            for x in row:
-                ents.append(int(x * den))
+        den = lcm(*(r._den for r in rows))
         self.n, self.m = n, m
-        self._ents, self._den = self._normalize(ents, den)
-
-    @staticmethod
-    def _normalize(ents, den):
-        g = den
-        for e in ents:
-            g = gcd(g, e)
-            if g == 1:
-                break
-        if g > 1:
-            ents = [e // g for e in ents]
-            den //= g
-        return tuple(ents), den
+        self._ents, self._den = _normalize(
+            [e * (den // r._den) for r in rows for e in r._ents], den)
 
     @classmethod
     def _raw(cls, n, m, ents, den):
         self = object.__new__(cls)
         self.n, self.m = n, m
-        self._ents, self._den = cls._normalize(list(ents), den)
+        self._ents, self._den = _normalize(ents, den)
         return self
 
     @classmethod
@@ -151,30 +184,20 @@ class Mat:
     def zero(cls, n: int, m: int) -> "Mat":
         return cls._raw(n, m, [0] * (n * m), 1)
 
-    @classmethod
-    def diag(cls, values) -> "Mat":
-        values = [as_scalar(v) for v in values]
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def shape(self):
         return (self.n, self.m)
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return as_scalar(Fraction(self._ents[i * self.m + j], self._den))
+        return _scalar(self._ents[i * self.m + j], self._den)
 
     def row(self, i: int) -> Vec:
-        d = self._den
-        return Vec(Fraction(e, d) for e in self._ents[i * self.m:(i + 1) * self.m])
+        m = self.m
+        return Vec._raw(self._ents[i * m:(i + 1) * m], self._den)
 
     def col(self, j: int) -> Vec:
-        d = self._den
-        return Vec(Fraction(self._ents[i * self.m + j], d) for i in range(self.n))
-
-    def rows(self):
-        return [self.row(i) for i in range(self.n)]
+        return Vec._raw(self._ents[j::self.m], self._den)
 
     def is_integral(self) -> bool:
         return self._den == 1
@@ -219,10 +242,9 @@ class Mat:
         return self + (-other)
 
     def __mul__(self, c):
-        c = Fraction(as_scalar(c))
-        return Mat._raw(self.n, self.m,
-                        [e * c.numerator for e in self._ents],
-                        self._den * c.denominator)
+        c = as_scalar(c)
+        ents = [e * c.numerator for e in self._ents]
+        return Mat._raw(self.n, self.m, ents, self._den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -238,25 +260,14 @@ class Mat:
         return NotImplemented
 
     def apply(self, v) -> Vec:
-        """Matrix times column vector; an integral matrix and a vector of
-        plain ints give integer sums without building Fractions."""
+        """Matrix times column vector: integer sums of numerators over
+        the product of the two denominators."""
+        v = Vec(v)
         if len(v) != self.m:
             raise ValueError("shape mismatch")
-        m, e = self.m, self._ents
-        if self._den == 1 and all(type(x) is int for x in v):
-            return Vec._raw(sum(map(mul, e[i * m:(i + 1) * m], v)) for i in range(self.n))
-        d = 1
-        for x in v:
-            d = lcm(d, _den(as_scalar(x)))
-        w = [int(as_scalar(x) * d) for x in v]
-        out = []
-        for i in range(self.n):
-            base = i * m
-            acc = 0
-            for j in range(m):
-                acc += e[base + j] * w[j]
-            out.append(Fraction(acc, self._den * d))
-        return Vec(out)
+        m, e, w = self.m, self._ents, v._ents
+        return Vec._raw((sum(map(mul, e[i * m:(i + 1) * m], w)) for i in range(self.n)),
+                        self._den * v._den)
 
     def det(self) -> Scalar:
         """Exact determinant (Bareiss on the integer numerators)."""
@@ -281,7 +292,7 @@ class Mat:
                 for j in range(k + 1, n):
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             prev = a[k][k]
-        return as_scalar(Fraction(sign * a[n - 1][n - 1], self._den ** n))
+        return _scalar(sign * a[n - 1][n - 1], self._den ** n)
 
     def inv(self) -> "Mat":
         """Exact inverse by Gauss-Jordan elimination."""
@@ -417,11 +428,9 @@ def solve_linear(a: Mat, b) -> Vec | None:
     if len(b) != a.n:
         raise ValueError("shape mismatch")
     u, s, v = smith_normal_form(a)
-    c = u.apply(b)
     y = [0] * a.m
-    for i in range(a.n):
-        ci = int(c[i])
-        d = int(s[i, i]) if i < min(a.n, a.m) else 0
+    for i, ci in enumerate(u.apply(b)):
+        d = s[i, i] if i < min(a.n, a.m) else 0
         if d == 0:
             if ci != 0:
                 return None
@@ -429,7 +438,7 @@ def solve_linear(a: Mat, b) -> Vec | None:
             if ci % d:
                 return None
             y[i] = ci // d
-    return Vec(int(x) for x in v.apply(y))
+    return v.apply(y)
 
 
 def congruence_diagonalize(g: Mat) -> tuple[Mat, Mat]:

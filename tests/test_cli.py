@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from orthlat import isometry
 from orthlat.cli import main
 
 
@@ -14,6 +16,17 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+# the reflection in (1, -2, 0, 1, 1), of square -10, on 2U+<-6>
+_RATIONAL_REFLECTION = json.dumps({"matrix": [
+    ["3/5", "1/5", "1/5", "0", "-6/5"], ["4/5", "3/5", "-2/5", "0", "12/5"],
+    ["0", "0", "1", "0", "0"], ["-2/5", "1/5", "1/5", "1", "-6/5"],
+    ["-2/5", "1/5", "1/5", "0", "-1/5"]]})
+# t(e, (0, 0, 1, 2, 1)) on 2U+<-2>
+_INTEGRAL_TRANSVECTION = json.dumps({"matrix": [
+    ["1", "-1", "-2", "-1", "2"], ["0", "1", "0", "0", "0"], ["0", "1", "1", "0", "0"],
+    ["0", "2", "0", "1", "0"], ["0", "1", "0", "0", "1"]]})
 
 
 class TestLattice:
@@ -95,6 +108,31 @@ class TestLattice:
         assert data2 == data
 
 
+    @pytest.mark.parametrize("payload", [
+        [[0, 1], [1, 0]],
+        {"gram": 5},
+        {"gram": [5, 6]},
+        {"gram": [[None, "1"], ["1", "0"]]},
+        {"gram": [[0.9, "1"], ["1", "0"]]},
+        {"gram": [["0", "1"], ["1", "0"]], "labels": 7},
+        {"gram": [["0", "1"], ["1", "0"]], "labels": ["a"]},
+        {"gram": [["0", "1"], ["1", "0"]], "labels": ["a", 3]},
+    ], ids=["top-level-list", "gram-int", "gram-rows-int", "entry-null", "entry-float",
+            "labels-int", "labels-short", "labels-not-strings"])
+    def test_malformed_file_is_invalid_input(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, data = run_json(capsys, "lattice", "info", "--file", str(path))
+        assert code == 1
+        assert data["error"] == "invalid-input"
+
+    def test_file_labels_null_means_default(self, capsys, tmp_path):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"gram": [["0", "1"], ["1", "0"]], "labels": None}))
+        code, data = run_json(capsys, "lattice", "info", "--file", str(path))
+        assert code == 0
+        assert data["labels"] == ["b0", "b1"]
+
 class TestDisc:
     def test_form(self, capsys):
         code, data = run_json(capsys, "disc", "form", "--spec", "2U+<-6>")
@@ -155,6 +193,21 @@ class TestElem:
                               "--json", '{"matrix": [["1/2","0"],["0","2"]]}')
         assert code == 0
         assert not any(data.values())
+
+    def test_spinor_decomposes_once(self, capsys, monkeypatch):
+        calls = []
+        real = isometry.cartan_dieudonne
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(isometry, "cartan_dieudonne", counted)
+        code, data = run_json(capsys, "elem", "spinor", "--spec", "2U+<-6>",
+                              "--json", _RATIONAL_REFLECTION)
+        assert code == 0
+        assert data == {"snQ": "5", "snR": 1, "det": -1}
+        assert len(calls) == 1
 
     def test_spinor_rejects_non_isometry(self, capsys):
         code, data = run_json(capsys, "elem", "spinor", "--spec", "U",
@@ -287,3 +340,90 @@ class TestSuiteAndErrors:
         code, data = run_json(capsys, "orbit", "equiv", "--spec", "2U+<-2>",
                               "--json", '{"u": ["1","0","0","0","0"]}')
         assert code == 2
+
+
+# -- golden stdout ------------------------------------------------------
+#
+# Exit code and sha256 of stdout for a fixed command list, recorded
+# before vectors took the numerator/denominator representation of
+# matrices; any change to a printed byte fails here.
+
+GOLDEN = [
+    pytest.param(["suite", "run", "--seed", "42"], 0,
+                 "4131d9af075bec3a79835287f94b8548cf6792176ab92fa0ffbf3d9244dcaed3",
+                 id="suite-run"),
+    pytest.param(["lattice", "census", "--spec", "2U+A2", "--box", "3"], 0,
+                 "02669fe26aa22d22edddaab6e1c81e6dd966864c53df127ad72d3a2b5ad986e0",
+                 id="census-2U+A2"),
+    pytest.param(["lattice", "census", "--spec", "2U+A2(-3)+<-6>", "--box", "2"], 0,
+                 "4069253c4f8cfc639fd9c71c409a95ca6d870e4ab1235aca42381977c0570be5",
+                 id="census-2U+A2(-3)+<-6>"),
+    pytest.param(["lattice", "info", "--spec", "2U+A2(-3)+<-6>"], 0,
+                 "3c982638647fefaf42a9f104cfc72b718e5e7eaa82b19a2513a68ad08c40f6c9",
+                 id="info"),
+    pytest.param(["lattice", "kneser", "--spec", "2U+<-10>"], 0,
+                 "16d5e3eec8752f717c9efbe8d80d5fc3fd45d88840319c462108d881c1cf745d",
+                 id="kneser"),
+    pytest.param(["disc", "form", "--spec", "2U+<-6>+A2"], 0,
+                 "cf51a5092c7e0180eb2f8509908ab5077f99e99848c312d98d4168241f71388e",
+                 id="disc-form"),
+    pytest.param(["disc", "autgroup", "--spec", "2U+<-12>"], 0,
+                 "4e93da5501ac30d47359327646218863df33de0e80715f9ea160e812c5f30aa6",
+                 id="autgroup-2U+<-12>"),
+    pytest.param(["disc", "autgroup", "--spec", "2U+A2"], 0,
+                 "b1201b492c232d21137a2ac08aa8fa68bd78259882269570e58c334732127672",
+                 id="autgroup-2U+A2"),
+    pytest.param(["orbit", "transport", "--spec", "2U+<-2>", "--json",
+                  '{"u": ["1","-1","0","0","0"], "v": ["0","0","1","-1","0"]}'], 0,
+                 "ccf9ece8183b6f93a9b03dc34d6efdfbee1ce6b3f475f1ec74a6c93170f1f566",
+                 id="transport-2U+<-2>"),
+    pytest.param(["orbit", "transport", "--spec", "2U+<-10>", "--json",
+                  '{"u": ["-3","-2","1","-2","1"], "v": ["3","2","1","-2","1"]}'], 0,
+                 "570db98d37361b98a26b2dd61bd5dd963dd8de6502f285ca2a5cda570e0bdc87",
+                 id="transport-2U+<-10>"),
+    pytest.param(["orbit", "transport", "--spec", "2U+<-10>", "--json",
+                  '{"u": ["3","-2","5","1","1"], "v": ["1","-1","0","0","0"]}'], 1,
+                 "53c2bc11c6052d412689dfc8c3257c7610057587f0706d732fe79c93241b152d",
+                 id="transport-refused"),
+    pytest.param(["elem", "transvect", "--spec", "2U+A2", "--json",
+                  '{"e": ["1","0","0","0","0","0"], "a": ["1/3","0","1/2","-2/3","1","0"]}'], 0,
+                 "850f7ff333efe499806b225fc986b340b403657b777b0d514a3d46191ef0cb08",
+                 id="transvect-rational"),
+    pytest.param(["elem", "reflect", "--spec", "2U+<-6>", "--json",
+                  '{"vector": ["1","-2","0","1","1"]}'], 0,
+                 "f7c195d1dff7ee64532729e42a86e166072557c7d015d62cd44a78c35d0d1441",
+                 id="reflect-rational"),
+    pytest.param(["elem", "reflect", "--spec", "U", "--json", '{"vector": ["1","-1"]}'], 0,
+                 "47e90f9b761bdfecde9a8c3b5f6fd0e178c18315ad12b532b0c7f8c55005641c",
+                 id="reflect-U"),
+    pytest.param(["witness", "master", "--spec", "<-2>", "--json",
+                  '{"w": ["0","1","1","0","0"], "s": "2/3"}'], 0,
+                 "206ee9aae9f9d1026228d6cd68ea10f00db02f7311ab29564f42ca12ea6f7d2a",
+                 id="master-s=2/3"),
+    pytest.param(["jacobi", "embed", "--spec", "A2", "--json",
+                  '{"u": ["2","-1"], "v": ["0","1"], "z": "-1"}'], 0,
+                 "b01d122aa1862e7ccc806812958ada76911d93d645807e47b84ebc38bd945440",
+                 id="jacobi-embed"),
+    pytest.param(["jacobi", "embed", "--spec", "A2", "--json",
+                  '{"u": ["1/2","0"], "v": ["0","1"], "z": "0"}'], 1,
+                 "4306fbe5b7215c596e96e0f4f8b8df7c33f2ad5f936d116c15d03fa383b8c57a",
+                 id="jacobi-embed-non-integral"),
+    pytest.param(["elem", "spinor", "--spec", "2U+<-6>", "--json", _RATIONAL_REFLECTION], 0,
+                 "262c93fb0a6e055aeefb1b8958f46f3cd3495a1519d3144ea53d9e0c360906d9",
+                 id="spinor-rational"),
+    pytest.param(["elem", "spinor", "--spec", "2U+<-2>", "--json", _INTEGRAL_TRANSVECTION], 0,
+                 "64f77f4ba50a7f9a78e968ce5c576c99fcca3d4f5388a0ecce6658e8fd0852a1",
+                 id="spinor-integral"),
+    pytest.param(["elem", "check", "--spec", "2U+<-2>", "--json", _INTEGRAL_TRANSVECTION], 0,
+                 "34939e415f70ae20338d267bb4ba5ffbc158f53b7ff660d906e84e3c81939234",
+                 id="check-integral"),
+    pytest.param(["elem", "check", "--spec", "2U+<-6>", "--json", _RATIONAL_REFLECTION], 0,
+                 "286256ae4c3a5ca441df6fa651ff7f6996fddf8af1b36ee7c3e26a71f5c544b2",
+                 id="check-rational"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN)
+def test_golden_stdout(capsys, argv, code, digest):
+    got, out = run_cli(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

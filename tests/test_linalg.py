@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthlat.errors import DegenerateFormError
 from orthlat.linalg import (
@@ -13,6 +15,27 @@ from orthlat.linalg import (
     smith_normal_form,
     solve_linear,
 )
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+ints = st.integers(-(1 << 70), 1 << 70) | st.integers(-9, 9)
+fractions = st.builds(Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 6, 9, 35)))
+scalars = ints | fractions
+nonzero = scalars.filter(bool)
+
+
+def entries(n):
+    return st.lists(scalars, min_size=n, max_size=n)
+
+
+def oracle(xs) -> tuple:
+    """The reference vector: a plain tuple of Fractions."""
+    return tuple(Fraction(x) for x in xs)
+
+
+def is_canonical(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def random_int_matrix(rng, n, m, bound=9):
@@ -191,3 +214,124 @@ class TestCongruence:
                 e[i][j] = rng.randint(-2, 2)
                 q = q @ Mat(e)
             assert signature_of(g) == signature_of(q.transpose() @ g @ q)
+
+
+class TestVecProperties:
+    """Vec against a tuple of Fractions: every entry read back is the
+    canonical scalar, and the arithmetic is exact."""
+
+    @PROPERTY
+    @given(xs=st.integers(0, 6).flatmap(entries))
+    def test_construction(self, xs):
+        v = Vec(xs)
+        assert len(v) == len(xs)
+        assert tuple(v) == oracle(xs)
+        assert all(is_canonical(x) for x in v)
+        assert [v[i] for i in range(len(v))] == list(v)
+        assert Vec(v) is v
+        assert Vec([Fraction(x) for x in xs]) == v
+        assert hash(Vec([Fraction(x) for x in xs])) == hash(v)
+        assert v.is_integral() == all(x.denominator == 1 for x in oracle(xs))
+        assert v.is_zero() == (not any(xs))
+        assert eval(repr(v), {"Vec": Vec, "Fraction": Fraction}) == v
+
+    @PROPERTY
+    @given(data=st.data(), n=st.integers(0, 6))
+    def test_arithmetic(self, data, n):
+        a, b = data.draw(entries(n)), data.draw(entries(n))
+        c, k = data.draw(scalars), data.draw(nonzero)
+        u, w = Vec(a), Vec(b)
+        results = {
+            u + w: tuple(x + y for x, y in zip(oracle(a), oracle(b))),
+            u - w: tuple(x - y for x, y in zip(oracle(a), oracle(b))),
+            -u: tuple(-x for x in oracle(a)),
+            c * u: tuple(Fraction(c) * x for x in oracle(a)),
+            u * c: tuple(Fraction(c) * x for x in oracle(a)),
+            u / k: tuple(x / Fraction(k) for x in oracle(a)),
+        }
+        for got, want in results.items():
+            assert tuple(got) == want
+            assert all(is_canonical(x) for x in got)
+            assert got == Vec(want)
+        assert u.dot(w) == sum(x * y for x, y in zip(oracle(a), oracle(b)))
+        assert is_canonical(u.dot(w))
+
+    @PROPERTY
+    @given(data=st.data(), n=st.integers(0, 4))
+    def test_eq_hash_and_order(self, data, n):
+        a, b = data.draw(entries(n)), data.draw(entries(n))
+        u, w = Vec(a), Vec(b)
+        assert (u == w) == (oracle(a) == oracle(b))
+        if u == w:
+            assert hash(u) == hash(w)
+        assert (u < w) == (oracle(a) < oracle(b))
+        assert (w < u) == (oracle(b) < oracle(a))
+
+    @PROPERTY
+    @given(xss=st.lists(entries(3), max_size=8))
+    def test_sorted_is_tuple_order(self, xss):
+        got = [tuple(v) for v in sorted(Vec(xs) for xs in xss)]
+        assert got == sorted(oracle(xs) for xs in xss)
+
+    @PROPERTY
+    @given(xs=st.lists(ints, max_size=6))
+    def test_content(self, xs):
+        assert Vec(xs).content() == gcd(*xs)
+
+    @PROPERTY
+    @given(n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())
+    def test_mat_rows_and_cols(self, n, m, data):
+        rows = [data.draw(entries(m)) for _ in range(n)]
+        mat = Mat(rows)
+        assert Mat([Vec(r) for r in rows]) == mat
+        for i in range(n):
+            assert list(mat.row(i)) == [mat[i, j] for j in range(m)] == list(oracle(rows[i]))
+        for j in range(m):
+            assert list(mat.col(j)) == [mat[i, j] for i in range(n)]
+        assert all(is_canonical(mat[i, j]) for i in range(n) for j in range(m))
+
+    def test_examples(self):
+        assert Vec([Fraction(2, 2)]) == Vec([1])
+        assert type(Vec([Fraction(2, 2)])[0]) is int
+        assert Vec([Fraction(1, 2), Fraction(3, 2)]) * 2 == Vec([1, 3])
+        assert (Vec([Fraction(1, 2), Fraction(3, 2)]) * 2).is_integral()
+        assert Vec([0, 0]) == Vec([0, 0]) / 7
+        assert Vec([1, 2]) != (1, 2)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 0.5])
+    def test_bool_and_float_raise(self, bad):
+        with pytest.raises(TypeError):
+            Vec([1, bad])
+        with pytest.raises(TypeError):
+            Vec([1, 2]) * bad
+        with pytest.raises(TypeError):
+            Vec([1, 2]) / bad
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            Vec([1, 2]) + Vec([1, 2, 3])
+        with pytest.raises(ValueError):
+            Vec([1, 2]).dot([1])
+        with pytest.raises(ZeroDivisionError):
+            Vec([1, 2]) / 0
+
+
+class TestSmithProperties:
+    """U M V == S with U and V unimodular and S a non-negative diagonal
+    divisibility chain."""
+
+    @PROPERTY
+    @given(n=st.integers(1, 6), m=st.integers(1, 6), data=st.data())
+    def test_snf(self, n, m, data):
+        cells = st.integers(-12, 12) | st.integers(-(1 << 40), 1 << 40) | st.just(0)
+        a = Mat([data.draw(st.lists(cells, min_size=m, max_size=m)) for _ in range(n)])
+        u, s, v = smith_normal_form(a)
+        assert u.shape == (n, n) and s.shape == (n, m) and v.shape == (m, m)
+        assert u.is_integral() and v.is_integral() and s.is_integral()
+        assert abs(u.det()) == 1 and abs(v.det()) == 1
+        assert u @ a @ v == s
+        assert all(s[i, j] == 0 for i in range(n) for j in range(m) if i != j)
+        diag = [s[i, i] for i in range(min(n, m))]
+        assert all(d >= 0 for d in diag)
+        for d, e in zip(diag, diag[1:]):
+            assert e == 0 if d == 0 else e % d == 0

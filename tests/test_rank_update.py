@@ -8,6 +8,7 @@ Heisenberg block matrix written out entry by entry, each atom's matrix
 applied to the vector, and Gauss-Jordan inversion.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -240,6 +241,27 @@ class TestAtomAction:
         assert word.apply(v) == word.evaluate().apply(v)
         u = Vec(rng.randint(-9, 9) for _ in range(lat.rank))
         assert word.apply(u) == word.evaluate().apply(u)
+
+
+class TestWordJson:
+    """GroupWord.from_json(to_json()) through JSON text gives the same
+    atoms and the same action."""
+
+    @PROPERTY
+    @given(spec=specs, seed=seeds, data=st.data())
+    def test_round_trip(self, spec, seed, data):
+        lat = lattice(spec)
+        rng = random.Random(seed)
+        atoms = list(mixed_word(standard_splitting(lat), rng, rng.randint(0, 6)).atoms)
+        _, e, a = isotropic_pair(spec, seed)
+        atoms += [TransvectionAtom(e, a), ReflectionAtom(anisotropic(lat, data))]
+        atoms.append(InverseAtom(atoms[data.draw(st.integers(0, len(atoms) - 1))]))
+        rng.shuffle(atoms)
+        word = GroupWord(lat, atoms)
+        again = GroupWord.from_json(lat, json.loads(json.dumps(word.to_json())))
+        assert again.atoms == word.atoms
+        v = rational_vector(lat, data)
+        assert again.apply(v) == word.apply(v)
 
 
 class TestIntegralApply:
