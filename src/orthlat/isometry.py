@@ -106,16 +106,17 @@ def rank_update(lattice: Lattice, terms) -> Mat:
 
 
 def apply_terms(lattice: Lattice, terms, v) -> Vec:
-    """rank_update(lattice, terms).apply(v) without building the matrix:
-    v + sum c (z, v) x, with G v computed once and the sum accumulated
-    as integer numerators over one denominator."""
+    """rank_update(lattice, terms).apply(v) without building the matrix,
+    for terms given as (c, x, G z): each (z, v) is the one dot product
+    (G z).v, and v + sum c (z, v) x is accumulated as integer numerators
+    over one denominator."""
     v = Vec(v)
-    gv = lattice.gram.apply(v)
+    if len(v) != lattice.rank:
+        raise ValueError("shape mismatch")
     out, den = list(v._ents), v._den
-    for c, x, z in terms:
-        k = c * gv.dot(z)
+    for c, x, gz in terms:
+        k = c * gz.dot(v)
         if k:
-            x = Vec(x)
             kd = k.denominator * x._den
             d = lcm(den, kd)
             if d != den:
@@ -164,7 +165,18 @@ class _AtomAction:
     only ``to_isometry`` builds a matrix."""
 
     def act(self, lattice: Lattice, v: Vec) -> Vec:
-        return apply_terms(lattice, self.terms(lattice), v)
+        return apply_terms(lattice, self._gram_terms(lattice), v)
+
+    def _gram_terms(self, lattice: Lattice) -> list:
+        """terms(lattice) as (c, x, G z), validated once per lattice and
+        kept in its cache under the atom (atoms are frozen).  An atom
+        that fails validation raises on every call and is never stored."""
+        cache = lattice._cache.setdefault("atom_terms", {})
+        terms = cache.get(self)
+        if terms is None:
+            terms = [(c, Vec(x), lattice.gram.apply(z)) for c, x, z in self.terms(lattice)]
+            cache[self] = terms
+        return terms
 
 
 @dataclass(frozen=True)

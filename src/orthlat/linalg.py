@@ -35,13 +35,14 @@ def as_scalar(x) -> Scalar:
 
 
 def parse_scalar(s) -> Scalar:
-    """Exact scalar from its JSON text form, "p/q" or a decimal integer.
+    """Exact canonical scalar from its JSON text form, "p/q" or a
+    decimal integer: "4/2" gives the int 2.
 
     Raises ValueError or ZeroDivisionError on malformed text."""
     s = str(s)
     if "/" in s:
         p, q = s.split("/", 1)
-        return Fraction(int(p), int(q))
+        return as_scalar(Fraction(int(p), int(q)))
     return int(s)
 
 

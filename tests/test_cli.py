@@ -258,6 +258,14 @@ class TestJacobiWitness:
         assert code == 0
         assert len(data["matrix"]) == 6
 
+    def test_embed_integral_fraction_z(self, capsys):
+        # "4/2" is the integer 2, not a non-integral z
+        argv = ["jacobi", "embed", "--spec", "A2", "--json"]
+        want = run_cli(capsys, *argv, '{"u": ["1","0"], "v": ["0","1"], "z": "2"}')
+        got = run_cli(capsys, *argv, '{"u": ["1","0"], "v": ["0","1"], "z": "4/2"}')
+        assert want[0] == 0
+        assert got == want
+
     def test_embed_output_round_trips_into_check(self, capsys, tmp_path):
         code, data = run_json(capsys, "jacobi", "embed", "--spec", "A2",
                               "--json", '{"u": ["2","-1"], "v": ["0","1"], "z": "-1"}')

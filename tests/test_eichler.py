@@ -25,7 +25,7 @@ from orthlat.errors import (
     NotRootError,
     UnsupportedCoordinatesError,
 )
-from orthlat.isometry import Isometry, membership, reflection, transvection
+from orthlat.isometry import Isometry, TransvectionAtom, membership, reflection, transvection
 from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat, Vec
 from orthlat.sampling import mixed_word, transvection_word
@@ -381,3 +381,31 @@ class TestOrbitInvariantOnePass:
         for fn in (orbit_invariant, class_of):
             with pytest.raises(ValueError, match="shape mismatch"):
                 fn(lat, [1, 0, 0, 0])
+
+
+# ---------------------------------------------------------------------
+# transport witnesses on random equivalent pairs
+
+TRANSPORT_SPLITS = {spec: standard_splitting(build(spec))
+                    for spec in [f"2U+<-{2 * d}>" for d in range(1, 6)] + ["2U+A2"]}
+
+
+class TestTransportProperty:
+    @PROPERTY
+    @given(spec=st.sampled_from(sorted(TRANSPORT_SPLITS)), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_equivalent_pair(self, spec, seed, data):
+        """v = g(u) for a seeded integral word g of transvections, so the
+        pair is equivalent: the witness maps u to v, is integral, and is
+        based at e or f only."""
+        split = TRANSPORT_SPLITS[spec]
+        lat = split.lattice
+        u = data.draw(st.lists(st.integers(-5, 5), min_size=lat.rank, max_size=lat.rank))
+        assume(gcd(*u) == 1)
+        rng = random.Random(seed)
+        v = transvection_word(split, rng, rng.randint(0, 6)).apply(u)
+        word = transport_witness(split, u, v)
+        assert word.apply(u) == v
+        assert word.is_integral()
+        assert all(isinstance(a, TransvectionAtom) and a.e in (split.e, split.f)
+                   for a in word.atoms)

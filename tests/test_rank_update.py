@@ -18,7 +18,12 @@ from hypothesis import assume, given, settings, strategies as st
 from orthlat.commutators import p_map
 from orthlat.discform import discriminant_form, enumerate_orth_d
 from orthlat.eichler import standard_splitting
-from orthlat.errors import IsotropicMirrorError, NotIsotropicError, NotOrthogonalError
+from orthlat.errors import (
+    IsotropicMirrorError,
+    NotIsotropicError,
+    NotOrthogonalError,
+    OrthlatError,
+)
 from orthlat.isometry import (
     GroupWord,
     InverseAtom,
@@ -29,7 +34,7 @@ from orthlat.isometry import (
     transvection,
 )
 from orthlat.jacobi import heis_embed, jacobi_embed, jacobi_lattice
-from orthlat.lattice import build
+from orthlat.lattice import build, lattice_from_json
 from orthlat.linalg import Mat, Vec
 from orthlat.sampling import integral_isometry, isotropic_vector, mixed_word, orthogonal_to
 
@@ -315,25 +320,35 @@ def _t(e, a):
 _E, _F, _E1, _G = [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]
 
 
+# Bad words and vectors on 2U+<-2>, with the error the matrix path
+# raises: the basis is (e, f, e1, f1, g), with e isotropic, (e, f) = 1
+# and (g, g) = -2.
+BAD_WORDS = [
+    ([_t(_E, _E1)], [1, 2, 3, 4], ValueError, "shape mismatch"),
+    ([_t(_E, _E1)], [1, 2, 3, 4, 5, 6], ValueError, "shape mismatch"),
+    ([_t(_G, _E1)], _F, NotIsotropicError, "base vector must be isotropic"),
+    ([_t(_G, _G)], _F, NotIsotropicError, "base vector must be isotropic"),
+    ([_t(_E, _F)], _F, NotOrthogonalError, "(e, a) must vanish"),
+    ([{"type": "reflection", "mirror": _E}], _F, IsotropicMirrorError,
+     "mirror vector is isotropic"),
+    ([{"type": "inverse", "atom": _t(_G, _E1)}], _F, NotIsotropicError,
+     "base vector must be isotropic"),
+    ([_t(_E, _F), _t(_G, _E1)], _F, NotIsotropicError, "base vector must be isotropic"),
+    ([_t(_E, _F), _t(_E, _E1)], [1, 2], ValueError, "shape mismatch"),
+    ([_t(_E, _E1), _t(_E, _F)], [1, 2], NotOrthogonalError, "(e, a) must vanish"),
+]
+WRONG_LENGTH_ATOMS = [
+    [_t([1, 0, 0, 0], _E1)],
+    [_t(_E, [0, 0, 1])],
+    [{"type": "reflection", "mirror": [0, 0, 0, 0, 1, 0]}],
+]
+
+
 class TestActionErrors:
     """Bad atoms and vectors raise through ``GroupWord.apply`` what the
-    matrix path raises, in the same order: on 2U+<-2> the basis is
-    (e, f, e1, f1, g), with e isotropic, (e, f) = 1 and (g, g) = -2."""
+    matrix path raises, in the same order."""
 
-    @pytest.mark.parametrize("atoms, v, error, message", [
-        ([_t(_E, _E1)], [1, 2, 3, 4], ValueError, "shape mismatch"),
-        ([_t(_E, _E1)], [1, 2, 3, 4, 5, 6], ValueError, "shape mismatch"),
-        ([_t(_G, _E1)], _F, NotIsotropicError, "base vector must be isotropic"),
-        ([_t(_G, _G)], _F, NotIsotropicError, "base vector must be isotropic"),
-        ([_t(_E, _F)], _F, NotOrthogonalError, "(e, a) must vanish"),
-        ([{"type": "reflection", "mirror": _E}], _F, IsotropicMirrorError,
-         "mirror vector is isotropic"),
-        ([{"type": "inverse", "atom": _t(_G, _E1)}], _F, NotIsotropicError,
-         "base vector must be isotropic"),
-        ([_t(_E, _F), _t(_G, _E1)], _F, NotIsotropicError, "base vector must be isotropic"),
-        ([_t(_E, _F), _t(_E, _E1)], [1, 2], ValueError, "shape mismatch"),
-        ([_t(_E, _E1), _t(_E, _F)], [1, 2], NotOrthogonalError, "(e, a) must vanish"),
-    ])
+    @pytest.mark.parametrize("atoms, v, error, message", BAD_WORDS)
     def test_same_error_as_matrix_path(self, atoms, v, error, message):
         word = GroupWord.from_json(lattice("2U+<-2>"), atoms)
         with pytest.raises(error) as got:
@@ -343,11 +358,7 @@ class TestActionErrors:
             matrix_path(word, v)
         assert str(want.value) == message
 
-    @pytest.mark.parametrize("atoms", [
-        [_t([1, 0, 0, 0], _E1)],
-        [_t(_E, [0, 0, 1])],
-        [{"type": "reflection", "mirror": [0, 0, 0, 0, 1, 0]}],
-    ])
+    @pytest.mark.parametrize("atoms", WRONG_LENGTH_ATOMS)
     def test_wrong_length_atom(self, atoms):
         word = GroupWord.from_json(lattice("2U+<-2>"), atoms)
         with pytest.raises(ValueError) as got:
@@ -355,6 +366,79 @@ class TestActionErrors:
         with pytest.raises(ValueError) as want:
             matrix_path(word, _F)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("atoms, v, error", [case[:3] for case in BAD_WORDS]
+                             + [(atoms, _F, ValueError) for atoms in WRONG_LENGTH_ATOMS])
+    def test_same_error_every_time(self, atoms, v, error):
+        """Twice on a cold lattice, then once more after every valid atom
+        of the word has acted and been cached; invalid atoms never are."""
+        lat = build("2U+<-2>")
+        word = GroupWord.from_json(lat, atoms)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as got:
+                word.apply(v)
+            messages.append(str(got.value))
+        for atom in word.atoms:
+            try:
+                atom.act(lat, _F)
+                valid = True
+            except (OrthlatError, ValueError):
+                valid = False
+            assert (atom in lat._cache.get("atom_terms", {})) == valid
+        with pytest.raises(error) as got:
+            word.apply(v)
+        messages.append(str(got.value))
+        assert messages == [messages[0]] * 3
+
+
+class TestAtomCache:
+    """Each lattice keeps the validated terms of the atoms that acted on
+    it, with G z applied, under the atom; the checks run once per
+    lattice."""
+
+    @staticmethod
+    def cold_and_warm(spec, atom, v):
+        lat = build(spec)  # a new object: nothing cached yet
+        want = rank_update(lat, atom.terms(lat)).apply(v)
+        assert atom not in lat._cache.get("atom_terms", {})
+        assert atom.act(lat, v) == want
+        assert atom in lat._cache["atom_terms"]
+        assert atom.act(lat, v) == want
+
+    @PROPERTY
+    @given(spec=specs, seed=seeds, data=st.data())
+    def test_transvection(self, spec, seed, data):
+        _, e, a = isotropic_pair(spec, seed)
+        v = rational_vector(lattice(spec), data)
+        for atom in (TransvectionAtom(e, a), InverseAtom(TransvectionAtom(e, a))):
+            self.cold_and_warm(spec, atom, v)
+
+    @PROPERTY
+    @given(spec=specs, data=st.data())
+    def test_reflection(self, spec, data):
+        atom = ReflectionAtom(anisotropic(lattice(spec), data))
+        v = rational_vector(lattice(spec), data)
+        for atom in (atom, InverseAtom(atom)):
+            self.cold_and_warm(spec, atom, v)
+
+    def test_validated_on_each_lattice(self):
+        """An atom cached on 2U+<-2> is checked again on a --file lattice
+        of the same rank, where its e has norm 2."""
+        lat = build("2U+<-2>")
+        atom = TransvectionAtom(Vec(_E), Vec(_E1))
+        assert atom.act(lat, _F) == Vec([0, 1, 1, 0, 0])
+        assert atom in lat._cache["atom_terms"]
+        other = lattice_from_json({"gram": [
+            [2, 1, 0, 0, 0], [1, -2, 0, 0, 0], [0, 0, 0, 1, 0],
+            [0, 0, 1, 0, 0], [0, 0, 0, 0, -2]]})
+        for _ in range(2):
+            with pytest.raises(NotIsotropicError, match="base vector must be isotropic"):
+                atom.act(other, _F)
+            with pytest.raises(NotIsotropicError, match="base vector must be isotropic"):
+                GroupWord(other, [atom]).apply(_F)
+        assert atom not in other._cache.get("atom_terms", {})
+        assert atom.act(lat, _F) == Vec([0, 1, 1, 0, 0])
 
 
 @pytest.mark.parametrize("spec", ["U(2)", "2U+<-2>+<-2>", "2U+<-2>+<-6>", "2U+<-4>+<-4>"])
