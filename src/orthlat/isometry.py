@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from orthlat import discform
@@ -82,17 +83,12 @@ class Isometry:
         return f"Isometry({self.mat!r})"
 
 
-def rank_update(lattice: Lattice, terms) -> Mat:
-    """Matrix of v -> v + sum c (z, v) x over the terms (c, x, z).
-
-    This is I + sum c x (G z)^T: G z is computed once per term and the
-    entries are accumulated as integer numerators over one denominator.
-    """
+def terms_matrix(lattice: Lattice, terms) -> Mat:
+    """Matrix I + sum c x (G z)^T of v -> v + sum c (z, v) x for terms
+    given as (c, x, G z), as integer numerators over one denominator."""
     n = lattice.rank
-    parts = []
-    for c, x, z in terms:
-        x, gz = Vec(x), lattice.gram.apply(z)
-        parts.append((c.numerator, x._ents, gz._ents, c.denominator * x._den * gz._den))
+    parts = [(c.numerator, x._ents, gz._ents, c.denominator * x._den * gz._den)
+             for c, x, gz in terms]
     den = lcm(*(d for *_, d in parts))
     ents = [den if i == j else 0 for i in range(n) for j in range(n)]
     for cn, xs, gz, d in parts:
@@ -105,11 +101,16 @@ def rank_update(lattice: Lattice, terms) -> Mat:
     return Mat._raw(n, n, ents, den)
 
 
+def rank_update(lattice: Lattice, terms) -> Mat:
+    """Matrix of v -> v + sum c (z, v) x over the terms (c, x, z)."""
+    return terms_matrix(lattice, [(c, Vec(x), lattice.gram.apply(z)) for c, x, z in terms])
+
+
 def apply_terms(lattice: Lattice, terms, v) -> Vec:
-    """rank_update(lattice, terms).apply(v) without building the matrix,
-    for terms given as (c, x, G z): each (z, v) is the one dot product
-    (G z).v, and v + sum c (z, v) x is accumulated as integer numerators
-    over one denominator."""
+    """terms_matrix(lattice, terms).apply(v) without building the
+    matrix, for terms given as (c, x, G z): each (z, v) is the one dot
+    product (G z).v, and v + sum c (z, v) x is accumulated as integer
+    numerators over one denominator."""
     v = Vec(v)
     if len(v) != lattice.rank:
         raise ValueError("shape mismatch")
@@ -129,53 +130,61 @@ def apply_terms(lattice: Lattice, terms, v) -> Vec:
     return Vec._raw(out, den)
 
 
-def _reflection_terms(lattice: Lattice, a: Vec) -> list:
-    aa = lattice.norm(a)
+def _reflection_terms(lattice: Lattice, a) -> list:
+    """The validated term (c, a, G a) of s_a, with (a, a) read off G a."""
+    a = Vec(a)
+    ga = lattice.gram.apply(a)
+    aa = ga.dot(a)
     if aa == 0:
         raise IsotropicMirrorError("mirror vector is isotropic")
-    return [(as_scalar(Fraction(-2) / aa), a, a)]
+    return [(as_scalar(Fraction(-2) / aa), a, ga)]
 
 
-def _transvection_terms(lattice: Lattice, e: Vec, a: Vec) -> list:
-    if lattice.norm(e) != 0:
+def _transvection_terms(lattice: Lattice, e, a) -> list:
+    """The validated terms (c, x, G z) of t(e, a), read off G e and G a."""
+    e, a = Vec(e), Vec(a)
+    ge = lattice.gram.apply(e)
+    if ge.dot(e) != 0:
         raise NotIsotropicError("base vector must be isotropic")
-    if lattice.inner(e, a) != 0:
+    if ge.dot(a) != 0:
         raise NotOrthogonalError("(e, a) must vanish")
-    half_aa = as_scalar(Fraction(lattice.norm(a)) / 2)
-    return [(-1, e, a), (1, a, e), (-half_aa, e, e)]
+    ga = lattice.gram.apply(a)
+    half_aa = as_scalar(Fraction(ga.dot(a)) / 2)
+    return [(-1, e, ga), (1, a, ge), (-half_aa, e, ge)]
 
 
 def reflection(lattice: Lattice, a) -> Isometry:
     """Reflection in the mirror a: v -> v - 2(a,v)/(a,a) a."""
-    return Isometry._trusted(lattice, rank_update(lattice, _reflection_terms(lattice, Vec(a))))
+    return Isometry._trusted(lattice, terms_matrix(lattice, _reflection_terms(lattice, a)))
 
 
 def transvection(lattice: Lattice, e, a) -> Isometry:
     """Unipotent map v -> v - (a,v)e + (e,v)a - (a,a)/2 (e,v)e for
     isotropic e and a orthogonal to e.  Rational e, a are allowed."""
-    terms = _transvection_terms(lattice, Vec(e), Vec(a))
-    return Isometry._trusted(lattice, rank_update(lattice, terms))
+    return Isometry._trusted(lattice, terms_matrix(lattice, _transvection_terms(lattice, e, a)))
 
 
 # ---------------------------------------------------------------------
 # words of generators
 
 class _AtomAction:
-    """Atoms act on vectors through their validated rank-update terms;
-    only ``to_isometry`` builds a matrix."""
+    """Atoms act on vectors, and build their matrix, from one set of
+    validated rank-update terms (c, x, G z) per lattice."""
 
     def act(self, lattice: Lattice, v: Vec) -> Vec:
-        return apply_terms(lattice, self._gram_terms(lattice), v)
+        return apply_terms(lattice, self._cached_terms(lattice), v)
 
-    def _gram_terms(self, lattice: Lattice) -> list:
-        """terms(lattice) as (c, x, G z), validated once per lattice and
-        kept in its cache under the atom (atoms are frozen).  An atom
-        that fails validation raises on every call and is never stored."""
+    def to_isometry(self, lattice: Lattice) -> Isometry:
+        return Isometry._trusted(lattice, terms_matrix(lattice, self._cached_terms(lattice)))
+
+    def _cached_terms(self, lattice: Lattice) -> list:
+        """terms(lattice), validated once per lattice and kept in its
+        cache under the atom (atoms are frozen).  An atom that fails
+        validation raises on every call and is never stored."""
         cache = lattice._cache.setdefault("atom_terms", {})
         terms = cache.get(self)
         if terms is None:
-            terms = [(c, Vec(x), lattice.gram.apply(z)) for c, x, z in self.terms(lattice)]
-            cache[self] = terms
+            terms = cache[self] = self.terms(lattice)
         return terms
 
 
@@ -186,11 +195,11 @@ class ReflectionAtom(_AtomAction):
     def terms(self, lattice: Lattice) -> list:
         return _reflection_terms(lattice, self.mirror)
 
-    def to_isometry(self, lattice: Lattice) -> Isometry:
-        return reflection(lattice, self.mirror)
-
     def inverse(self) -> "ReflectionAtom":
         return self
+
+    def is_integral(self) -> bool:
+        return self.mirror.is_integral()
 
     def to_json(self) -> dict:
         return {"type": "reflection", "mirror": [str(x) for x in self.mirror]}
@@ -203,9 +212,6 @@ class TransvectionAtom(_AtomAction):
 
     def terms(self, lattice: Lattice) -> list:
         return _transvection_terms(lattice, self.e, self.a)
-
-    def to_isometry(self, lattice: Lattice) -> Isometry:
-        return transvection(lattice, self.e, self.a)
 
     def inverse(self) -> "TransvectionAtom":
         return TransvectionAtom(self.e, -self.a)
@@ -228,11 +234,11 @@ class InverseAtom(_AtomAction):
     def terms(self, lattice: Lattice) -> list:
         return self.atom.inverse().terms(lattice)
 
-    def to_isometry(self, lattice: Lattice) -> Isometry:
-        return self.atom.inverse().to_isometry(lattice)
-
     def inverse(self) -> "Atom":
         return self.atom
+
+    def is_integral(self) -> bool:
+        return self.atom.is_integral()
 
     def to_json(self) -> dict:
         return {"type": "inverse", "atom": self.atom.to_json()}
@@ -269,10 +275,8 @@ class GroupWord:
         return len(self.atoms)
 
     def evaluate(self) -> Isometry:
-        out = Isometry.identity(self.lattice)
-        for atom in self.atoms:
-            out = out * atom.to_isometry(self.lattice)
-        return out
+        isos = [a.to_isometry(self.lattice) for a in self.atoms]
+        return reduce(Isometry.__mul__, isos) if isos else Isometry.identity(self.lattice)
 
     def inverse(self) -> "GroupWord":
         return GroupWord(self.lattice, tuple(a.inverse() for a in reversed(self.atoms)))
@@ -288,11 +292,7 @@ class GroupWord:
         return v
 
     def is_integral(self) -> bool:
-        return all(
-            isinstance(a, TransvectionAtom) and a.is_integral()
-            or isinstance(a, ReflectionAtom) and a.mirror.is_integral()
-            for a in self.atoms
-        )
+        return all(a.is_integral() for a in self.atoms)
 
     def to_json(self) -> list:
         return [a.to_json() for a in self.atoms]

@@ -100,10 +100,10 @@ def integral_isometry(split: HyperbolicSplitting, rng: Random,
 
 def isotropic_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
     """Random rational isotropic vector: a rescaled image of e or f
-    under a random integral isometry."""
-    g = integral_isometry(split, rng, rng.randint(0, 4))
+    under a random integral isometry, applied as a word."""
+    word = mixed_word(split, rng, rng.randint(0, 4))
     base = split.e if rng.random() < 0.5 else split.f
-    return nonzero_rational(rng, 3) * g.apply(base)
+    return nonzero_rational(rng, 3) * word.apply(base)
 
 
 def orthogonal_to(lat: Lattice, rng: Random, e: Vec, bound: int = 3,

@@ -1,8 +1,9 @@
 """Property tests for the closed-form isometries.
 
 Every reflection, transvection, P(s) and Heisenberg matrix is built by
-``rank_update``, and atoms act on vectors through the same terms
-without building a matrix.  The reference oracles below are the direct
+``terms_matrix`` (through ``rank_update`` for P(s) and the Heisenberg
+elements), and atoms act on vectors through the same terms without
+building a matrix.  The reference oracles below are the direct
 constructions: one image of each basis vector per column, the
 Heisenberg block matrix written out entry by entry, each atom's matrix
 applied to the vector, and Gauss-Jordan inversion.
@@ -27,6 +28,7 @@ from orthlat.errors import (
 from orthlat.isometry import (
     GroupWord,
     InverseAtom,
+    Isometry,
     ReflectionAtom,
     TransvectionAtom,
     rank_update,
@@ -36,7 +38,13 @@ from orthlat.isometry import (
 from orthlat.jacobi import heis_embed, jacobi_embed, jacobi_lattice
 from orthlat.lattice import build, lattice_from_json
 from orthlat.linalg import Mat, Vec
-from orthlat.sampling import integral_isometry, isotropic_vector, mixed_word, orthogonal_to
+from orthlat.sampling import (
+    integral_isometry,
+    isotropic_vector,
+    mixed_word,
+    nonzero_rational,
+    orthogonal_to,
+)
 
 SPECS = ("2U", "2U+<-2>", "2U+A2", "2U+<-6>+<4>")
 _LATTICES = {}
@@ -171,6 +179,7 @@ class TestRankUpdate:
     def test_no_terms_is_identity(self):
         lat = lattice("2U+A2")
         assert rank_update(lat, []) == Mat.identity(lat.rank)
+        assert GroupWord(lat).evaluate() == Isometry.identity(lat)
 
     @PROPERTY
     @given(spec=specs, seed=seeds)
@@ -216,6 +225,19 @@ class TestInverseAtom:
         lat = lattice(spec)
         atom = ReflectionAtom(anisotropic(lat, data))
         assert InverseAtom(atom).to_isometry(lat) == atom.to_isometry(lat).inverse()
+
+    def test_is_integral(self):
+        """An inverse atom is integral exactly when its atom is, however
+        the inverse is written."""
+        lat = lattice("2U+<-2>")
+        atom = TransvectionAtom(Vec(_E), Vec([0, 0, 1, 2, 1]))
+        assert atom.to_isometry(lat).is_integral()
+        for word in (GroupWord(lat, [InverseAtom(atom)]), GroupWord(lat, [atom.inverse()])):
+            assert word.is_integral()
+            assert word.evaluate().is_integral()
+        half = ReflectionAtom(Vec([0, 0, 0, 0, Fraction(1, 2)]))
+        assert not GroupWord(lat, [InverseAtom(half)]).is_integral()
+        assert not GroupWord(lat, [atom, InverseAtom(TransvectionAtom(Vec(_E), Vec(_E1) / 2))]).is_integral()
 
 
 class TestAtomAction:
@@ -394,33 +416,62 @@ class TestActionErrors:
 
 class TestAtomCache:
     """Each lattice keeps the validated terms of the atoms that acted on
-    it, with G z applied, under the atom; the checks run once per
-    lattice."""
+    it or were turned into matrices, with G z applied, under the atom;
+    the checks run once per lattice.  The expected matrices come from
+    the column oracles, which never read the cache."""
 
     @staticmethod
-    def cold_and_warm(spec, atom, v):
+    def cold_and_warm(spec, atom, v, want, direct):
+        """``want`` is the oracle matrix of the atom and ``direct`` the
+        same map built by ``transvection``/``reflection``."""
         lat = build(spec)  # a new object: nothing cached yet
-        want = rank_update(lat, atom.terms(lat)).apply(v)
+        assert direct(lat).mat == want
         assert atom not in lat._cache.get("atom_terms", {})
-        assert atom.act(lat, v) == want
+        assert atom.act(lat, v) == want.apply(v)
         assert atom in lat._cache["atom_terms"]
-        assert atom.act(lat, v) == want
+        assert atom.act(lat, v) == want.apply(v)
+        lat = build(spec)
+        cold = atom.to_isometry(lat)
+        assert atom in lat._cache["atom_terms"]
+        assert cold.mat == want
+        assert atom.to_isometry(lat) == cold
+        assert atom.act(lat, v) == want.apply(v)
 
     @PROPERTY
     @given(spec=specs, seed=seeds, data=st.data())
     def test_transvection(self, spec, seed, data):
         _, e, a = isotropic_pair(spec, seed)
-        v = rational_vector(lattice(spec), data)
-        for atom in (TransvectionAtom(e, a), InverseAtom(TransvectionAtom(e, a))):
-            self.cold_and_warm(spec, atom, v)
+        lat = lattice(spec)
+        v = rational_vector(lat, data)
+        atom = TransvectionAtom(e, a)
+        self.cold_and_warm(spec, atom, v, transvection_oracle(lat, e, a),
+                           lambda lat: transvection(lat, e, a))
+        self.cold_and_warm(spec, InverseAtom(atom), v, transvection_oracle(lat, e, -a),
+                           lambda lat: transvection(lat, e, -a))
 
     @PROPERTY
     @given(spec=specs, data=st.data())
     def test_reflection(self, spec, data):
-        atom = ReflectionAtom(anisotropic(lattice(spec), data))
-        v = rational_vector(lattice(spec), data)
-        for atom in (atom, InverseAtom(atom)):
-            self.cold_and_warm(spec, atom, v)
+        lat = lattice(spec)
+        a = anisotropic(lat, data)
+        v = rational_vector(lat, data)
+        for atom in (ReflectionAtom(a), InverseAtom(ReflectionAtom(a))):
+            self.cold_and_warm(spec, atom, v, reflection_oracle(lat, a),
+                               lambda lat: reflection(lat, a))
+
+    @pytest.mark.parametrize("atoms", [case[0] for case in BAD_WORDS] + WRONG_LENGTH_ATOMS)
+    def test_invalid_never_stored(self, atoms):
+        """An atom whose matrix cannot be built raises on every call and
+        is never cached; a valid atom is cached by its first matrix."""
+        lat = build("2U+<-2>")
+        for atom in GroupWord.from_json(lat, atoms).atoms:
+            for _ in range(2):
+                try:
+                    atom.to_isometry(lat)
+                    valid = True
+                except (OrthlatError, ValueError):
+                    valid = False
+                assert (atom in lat._cache.get("atom_terms", {})) == valid
 
     def test_validated_on_each_lattice(self):
         """An atom cached on 2U+<-2> is checked again on a --file lattice
@@ -439,6 +490,65 @@ class TestAtomCache:
                 GroupWord(other, [atom]).apply(_F)
         assert atom not in other._cache.get("atom_terms", {})
         assert atom.act(lat, _F) == Vec([0, 1, 1, 0, 0])
+
+
+# Pairs on 2U+<-2> where e is not isotropic and a is not orthogonal to
+# e either: the isotropy check comes first on every path.
+BOTH_DEFECTS = [(_G, _G), ([1, 1, 0, 0, 0], _E), ([0, 0, 1, 1, 0], [0, 0, 1, 0, 0])]
+
+
+class TestValidationOrder:
+    """The direct builders, atom actions and atom matrices validate the
+    same way, in the same order, on every call."""
+
+    @staticmethod
+    def raises_every_time(lat, paths, error, message):
+        for _ in range(2):
+            for path in paths:
+                with pytest.raises(OrthlatError) as got:
+                    path()
+                assert type(got.value) is error
+                assert str(got.value) == message
+        assert not lat._cache.get("atom_terms")
+
+    @pytest.mark.parametrize("e, a", BOTH_DEFECTS)
+    def test_not_isotropic_before_not_orthogonal(self, e, a):
+        lat = build("2U+<-2>")
+        assert lat.norm(e) != 0 and lat.inner(e, a) != 0
+        atom = TransvectionAtom(Vec(e), Vec(a))
+        paths = [lambda: transvection(lat, e, a)]
+        for at in (atom, InverseAtom(atom)):
+            paths += [lambda at=at: at.act(lat, _F), lambda at=at: at.to_isometry(lat),
+                      lambda at=at: GroupWord(lat, [at]).evaluate()]
+        self.raises_every_time(lat, paths, NotIsotropicError, "base vector must be isotropic")
+
+    @pytest.mark.parametrize("mirror", [_E, _F, [1, 0, 0, 5, 0], [0, 0, 1, 1, 1]])
+    def test_isotropic_mirror(self, mirror):
+        lat = build("2U+<-2>")
+        assert lat.norm(mirror) == 0
+        atom = ReflectionAtom(Vec(mirror))
+        paths = [lambda: reflection(lat, mirror)]
+        for at in (atom, InverseAtom(atom)):
+            paths += [lambda at=at: at.act(lat, _F), lambda at=at: at.to_isometry(lat),
+                      lambda at=at: GroupWord(lat, [at]).evaluate()]
+        self.raises_every_time(lat, paths, IsotropicMirrorError, "mirror vector is isotropic")
+
+
+class TestSampler:
+    @PROPERTY
+    @given(spec=specs, seed=seeds)
+    def test_isotropic_vector_draws(self, spec, seed):
+        """isotropic_vector makes the draws of the matrix formula it
+        replaced, in the same order, and returns the same vectors."""
+        split = standard_splitting(lattice(spec))
+        r1, r2 = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            g = integral_isometry(split, r2, r2.randint(0, 4))
+            base = split.e if r2.random() < 0.5 else split.f
+            want = nonzero_rational(r2, 3) * g.apply(base)
+            assert isotropic_vector(split, r1) == want
+            assert r1.getstate() == r2.getstate()
+            assert split.lattice.norm(want) == 0
 
 
 @pytest.mark.parametrize("spec", ["U(2)", "2U+<-2>+<-2>", "2U+<-2>+<-6>", "2U+<-4>+<-4>"])
