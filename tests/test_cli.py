@@ -89,6 +89,13 @@ class TestLattice:
         assert code == 1
         assert data["error"] == "too-large"
 
+    @pytest.mark.parametrize("cmd", ["form", "autgroup"])
+    def test_disc_search_over_budget_too_large(self, capsys, cmd):
+        # |D| = 256 passes --cap, but O(D) is O+(8, 2), of order 348,364,800
+        code, data = run_json(capsys, "disc", cmd, "--spec", "2U+E8(-2)")
+        assert code == 1
+        assert data["error"] == "too-large"
+
     def test_kneser_rank21_file_too_large(self, capsys, tmp_path):
         # a --file lattice has no blocks, and this one no -2 on the
         # diagonal, so the root search has to enumerate the box
@@ -381,6 +388,15 @@ GOLDEN = [
     pytest.param(["disc", "autgroup", "--spec", "2U+A2"], 0,
                  "b1201b492c232d21137a2ac08aa8fa68bd78259882269570e58c334732127672",
                  id="autgroup-2U+A2"),
+    pytest.param(["disc", "form", "--spec", "2U+2A2(-3)"], 0,
+                 "320d96d092224e22ce6a8837358f77a9657c057617fa287902d08243cca8d08e",
+                 id="disc-form-2U+2A2(-3)"),
+    pytest.param(["disc", "autgroup", "--spec", "2U+A2(-3)+<-6>"], 0,
+                 "79585154417415a454c8fc992f1b2d51d86b2aefb32e6f44b42aea7be1bb388a",
+                 id="autgroup-2U+A2(-3)+<-6>"),
+    pytest.param(["disc", "autgroup", "--spec", "2U+<-6>+A2(-3)+<-4>"], 0,
+                 "c8a6654ee963d238e7475ede990e51741b9c1a92851773652a1196f08c978b1c",
+                 id="autgroup-2U+<-6>+A2(-3)+<-4>"),
     pytest.param(["orbit", "transport", "--spec", "2U+<-2>", "--json",
                   '{"u": ["1","-1","0","0","0"], "v": ["0","0","1","-1","0"]}'], 0,
                  "ccf9ece8183b6f93a9b03dc34d6efdfbee1ce6b3f475f1ec74a6c93170f1f566",

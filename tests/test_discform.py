@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from orthlat import discform
 from orthlat.discform import (
     class_of,
     discriminant_form,
@@ -19,7 +22,7 @@ from orthlat.errors import (
 )
 from orthlat.eichler import standard_splitting
 from orthlat.isometry import reflection
-from orthlat.lattice import build
+from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat
 from orthlat.sampling import integral_transvection_atom
 
@@ -173,3 +176,120 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(TooLargeError):
             enumerate_orth_d(discriminant_form(build("<-100>")), cap=10)
+
+    def test_pairing_budget_raises_before_any_automorphism(self, monkeypatch):
+        form = discriminant_form(build("2U+3<-6>"))
+        assert len(enumerate_orth_d(form)) == 288
+        built = []
+        monkeypatch.setattr(discform, "ORTH_D_PAIRING_BUDGET", 1000)
+        monkeypatch.setattr(discform, "DiscAutomorphism", lambda *a: built.append(a))
+        with pytest.raises(TooLargeError):
+            enumerate_orth_d(form)
+        assert built == []
+
+
+# ---------------------------------------------------------------------
+# property tests against the Fraction implementation the integer table
+# replaced: generators from a Gauss-Jordan inverse, q and b summed over
+# their Gram matrix and normalized with _mod
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def even_lattices(draw, max_det=None):
+    r = draw(st.integers(1, 3))
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        rows[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
+    gram = Mat(rows)
+    det = gram.det()
+    assume(det != 0 and (max_det is None or abs(det) <= max_det))
+    return Lattice(gram)
+
+
+def _mod(x, modulus) -> Fraction:
+    x = Fraction(x)
+    return x - (x / modulus).__floor__() * modulus
+
+
+def oracle_generators(lat):
+    u, s, _ = lat.snf()
+    w = (u @ lat.gram).inv()
+    return [w.col(i) for i in range(lat.rank) if int(s[i, i]) != 1]
+
+
+def oracle_forms(lat):
+    """q and b on coordinate tuples, as the Fraction code computed them."""
+    gens = oracle_generators(lat)
+    gg = [[Fraction(lat.inner(a, b)) for b in gens] for a in gens]
+
+    def q(cs):
+        acc = Fraction(0)
+        for i, ci in enumerate(cs):
+            if ci:
+                acc += ci * ci * gg[i][i]
+                for j in range(i):
+                    acc += 2 * ci * cs[j] * gg[i][j]
+        return _mod(acc, 2)
+
+    def b(xs, ys):
+        acc = Fraction(0)
+        for i, ci in enumerate(xs):
+            for j, dj in enumerate(ys):
+                acc += ci * dj * gg[i][j]
+        return _mod(acc, 1)
+
+    return q, b
+
+
+def brute_force_orth_d(form, oracle_q):
+    """Image tuples of every automorphism of (D, q), in lexicographic
+    order: each tuple of elements with the generators' orders and
+    q-values whose homomorphism preserves q everywhere and whose images
+    generate D."""
+    elements = [x.coords for x in form.elements()]
+    qs = {c: oracle_q(c) for c in elements}
+    choices = [[x.coords for x in form.elements()
+                if x.order() == d and qs[x.coords] == qs[g.coords]]
+               for g, d in zip(identity_automorphism(form).images, form.orders)]
+    out = []
+    for imgs in product(*choices):
+        phi = {c: form.element([sum(ci * x[j] for ci, x in zip(c, imgs))
+                                for j in range(len(form.orders))]).coords
+               for c in elements}
+        generated = len(set(phi.values())) == len(form)
+        if generated and all(qs[phi[c]] == qs[c] for c in elements):
+            out.append(imgs)
+    return out
+
+
+class TestAgainstFractionOracle:
+    @PROPERTY
+    @given(st.data())
+    def test_q_and_b(self, data):
+        lat = data.draw(even_lattices())
+        form = discriminant_form(lat)
+        oq, ob = oracle_forms(lat)
+        coords = st.tuples(*(st.integers(0, d - 1) for d in form.orders))
+        for _ in range(3):
+            x, y = form.element(data.draw(coords)), form.element(data.draw(coords))
+            assert form.q(x) == oq(x.coords) and 0 <= form.q(x) < 2
+            assert form.b(x, y) == ob(x.coords, y.coords) and 0 <= form.b(x, y) < 1
+            assert type(form.q(x)) is Fraction and type(form.b(x, y)) is Fraction
+
+    @PROPERTY
+    @given(even_lattices())
+    def test_generators(self, lat):
+        assert list(discriminant_form(lat).generators) == oracle_generators(lat)
+
+    @PROPERTY
+    @given(even_lattices(max_det=64))
+    @example(build("U(2)+<-4>"))
+    @example(build("A2(-2)+<-2>"))
+    def test_orth_d_is_brute_force(self, lat):
+        form = discriminant_form(lat)
+        got = [a.key() for a in enumerate_orth_d(form)]
+        assert got == brute_force_orth_d(form, oracle_forms(lat)[0])
