@@ -30,16 +30,17 @@ from orthlat.errors import (
 from orthlat.lattice import Lattice
 from orthlat.linalg import Mat, Vec
 
-# Most pairings b(x, y) one O(D) search may evaluate: about 3 s of CPU,
-# and 2.3 times the 1,307,664 that 2U+2A2(-3) (|O(D)| = 15552) needs.
-ORTH_D_PAIRING_BUDGET = 3 * 10 ** 6
+# Most multiply-adds the pairings b(x, y) of one O(D) search may cost,
+# k per pairing for k generators: 2.3 times the 1,307,664 * 4 that
+# 2U+2A2(-3) (|O(D)| = 15552) needs.
+ORTH_D_PAIRING_BUDGET = 12 * 10 ** 6
 
 
 class DiscriminantForm:
     """D(L) with its Q/2Z-valued quadratic form."""
 
     __slots__ = ("lattice", "orders", "exponent", "generators", "_table",
-                 "_gram_rows", "_class_rows")
+                 "_gram_rows", "_class_rows", "_elements")
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
@@ -58,6 +59,7 @@ class DiscriminantForm:
         if any(r for row in pairs for _, r in row):
             raise InternalSolveFailureError("N (g_i, g_j) is not an integer")
         self._table = [[t for t, _ in row] for row in pairs]
+        self._elements = {}
 
     def __len__(self) -> int:
         return prod(self.orders)
@@ -76,6 +78,13 @@ class DiscriminantForm:
     def elements(self) -> list["DiscElement"]:
         """All elements, in lexicographic coordinate order."""
         return [DiscElement(self, c) for c in product(*(range(d) for d in self.orders))]
+
+    def _element(self, coords: tuple[int, ...]) -> "DiscElement":
+        """The element with reduced coordinates ``coords``, built once."""
+        elem = self._elements.get(coords)
+        if elem is None:
+            elem = self._elements[coords] = DiscElement(self, coords)
+        return elem
 
     def _coords(self, g) -> tuple[int, ...]:
         """Class coordinates of y in L* from the integer vector g = G y."""
@@ -100,13 +109,17 @@ class DiscriminantForm:
         not integral or not primitive raises NotPrimitiveError, before
         a wrong length raises ValueError."""
         v = Vec(v)
-        if not self.lattice.is_primitive(v):
+        ents = v._ents
+        if v._den != 1 or gcd(*ents) != 1:
             raise NotPrimitiveError("class_of needs a primitive vector")
-        if len(v) != self.lattice.rank:
+        if len(ents) != self.lattice.rank:
             raise ValueError("shape mismatch")
-        g = [sum(map(mul, row, v)) for row in self._gram_rows]
+        g = [sum(map(mul, row, ents)) for row in self._gram_rows]
+        norm = sum(map(mul, ents, g))
         d = gcd(*g)
-        return sum(map(mul, v, g)), d, DiscElement(self, self._coords([x // d for x in g]))
+        if d != 1:
+            g = [x // d for x in g]
+        return norm, d, self._element(self._coords(g))
 
     def q(self, elem: "DiscElement") -> Fraction:
         n = self.exponent
@@ -229,9 +242,9 @@ def enumerate_orth_d(form: DiscriminantForm, cap: int = 10000) -> list[DiscAutom
     q-value, then on the pairwise bilinear products, compared as
     integers N b(x, y) mod N against each candidate's b-row T c, which
     is computed once.  Deterministic (lexicographic) order.  Raises
-    TooLargeError when |D| exceeds cap, and when the search evaluates
-    more than ORTH_D_PAIRING_BUDGET pairings, before it builds any
-    automorphism.
+    TooLargeError when |D| exceeds cap, and when its pairings cost more
+    than ORTH_D_PAIRING_BUDGET multiply-adds (k for each of the k-term
+    dot products), before it builds any automorphism.
 
     Every tuple that survives is an automorphism, so no generation test
     is needed.  D is the direct sum of the cyclic groups <g_i> of order
@@ -261,7 +274,7 @@ def enumerate_orth_d(form: DiscriminantForm, cap: int = 10000) -> list[DiscAutom
         target = [t[i][j] % n for j in range(i)]
         for x, row in candidates[i]:
             for y, b in zip(chosen, target):
-                work += 1
+                work += k
                 if sum(map(mul, row, y)) % n != b:
                     break
             else:
@@ -270,7 +283,7 @@ def enumerate_orth_d(form: DiscriminantForm, cap: int = 10000) -> list[DiscAutom
                 chosen.pop()
             if work > budget:
                 raise TooLargeError(
-                    f"O(D) search needs more than {budget} pairings")
+                    f"O(D) search needs more than {budget} multiply-adds")
         return work
 
     dfs(0, 0)

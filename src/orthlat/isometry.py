@@ -16,15 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, isqrt, lcm, prod
 
 from orthlat import discform
 from orthlat.errors import (
+    InternalSolveFailureError,
     IsotropicMirrorError,
     NotIntegralError,
     NotIsometryError,
     NotIsotropicError,
     NotOrthogonalError,
+    TooLargeError,
 )
 from orthlat.lattice import Lattice
 from orthlat.linalg import Mat, Vec, as_scalar, parse_scalar
@@ -352,6 +354,32 @@ def cartan_dieudonne(g: Isometry, order=None) -> list[Vec]:
     return mirrors
 
 
+# Most trial divisors one factorisation may try: about 0.3 s of CPU, and
+# far more than any rational isometry in the tests or the suite needs.
+TRIAL_DIVISOR_BUDGET = 10 ** 6
+
+
+def _factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation [(p, e), ...] of n >= 1 by trial division;
+    TooLargeError once it needs more than TRIAL_DIVISOR_BUDGET divisors."""
+    out, f, tried = [], 2, 0
+    while f * f <= n:
+        tried += 1
+        if tried > TRIAL_DIVISOR_BUDGET:
+            raise TooLargeError(
+                f"factoring needs more than {TRIAL_DIVISOR_BUDGET} trial divisors")
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        if e:
+            out.append((f, e))
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def squarefree_class(x) -> int:
     """Canonical representative of x in Q*/(Q*)^2: a signed squarefree
     integer, computed by clearing the denominator and stripping square
@@ -360,31 +388,43 @@ def squarefree_class(x) -> int:
     if x == 0:
         raise ValueError("0 has no square class")
     n = x.numerator * x.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    f = 2
-    while f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e % 2:
-            out *= f
-        f += 1 if f == 2 else 2
-    return sign * out * n
+    return (-1 if n < 0 else 1) * prod(p for p, e in _factor(abs(n)) if e % 2)
 
 
 def class_mul(a: int, b: int) -> int:
     return squarefree_class(a * b)
 
 
+def _integral_square_class(x: Fraction, lattice: Lattice) -> int:
+    """Square class of the spinor norm x of an integral isometry.
+
+    Over Z_p for p not dividing 2 det(L) the lattice is unimodular, and
+    its isometries have spinor norms of even valuation (Kneser 1956).
+    So the part of x on primes outside 2 det(L), split off by gcds, is
+    checked to be a perfect square, and only the rest is factored."""
+    n = x.numerator * x.denominator
+    sign = -1 if n < 0 else 1
+    n, d, smooth = abs(n), 2 * abs(lattice.det()), 1
+    while (g := gcd(n, d)) > 1:
+        n //= g
+        smooth *= g
+    r = isqrt(n)
+    if r * r != n:
+        raise InternalSolveFailureError(
+            "spinor norm has odd valuation at a prime not dividing 2 det(L)")
+    return sign * prod(p for p, e in _factor(smooth) if e % 2)
+
+
 def spinor_norm_q(g: Isometry, order=None) -> int:
     """Spinor norm over Q as a signed squarefree integer: the product of
-    -(v,v)/2 over any reflection decomposition."""
+    -(v,v)/2 over any reflection decomposition.  For integral g only the
+    part on the primes of 2 det(L) is factored; a rational g is factored
+    whole.  Trial division stops at TRIAL_DIVISOR_BUDGET."""
     acc = Fraction(1)
     for m in cartan_dieudonne(g, order):
         acc *= -Fraction(g.lattice.norm(m)) / 2
+    if g.is_integral():
+        return _integral_square_class(acc, g.lattice)
     return squarefree_class(acc)
 
 

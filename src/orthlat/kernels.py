@@ -5,11 +5,15 @@ Both work on flat row-major lists of Python ints, so every sum is exact
 at any size.  ``Mat.__matmul__`` and ``Lattice.enumerate_vectors`` call
 them by module attribute.
 
-Enumeration never visits the whole box.  An odometer walks the first
-n - 1 coordinates and carries the prefix's G v and norm, updated in
-O(n) per step; for each prefix the norm is a quadratic in the last
-coordinate x, solved exactly with ``math.isqrt``.  The work is
-(2 box + 1)^(n - 1) steps, not (2 box + 1)^n norms of O(n^2) each.
+Enumeration never visits the whole box, and scans in two levels.  An
+odometer walks the first n - 2 coordinates and carries the prefix's
+G v and norm, updated in O(n) per step.  Coordinate n - 2 is scanned
+with scalars only: for each of its values the norm is a quadratic in
+the last coordinate x, solved exactly with ``math.isqrt``, and a value
+whose discriminant is negative or not a perfect square is dropped
+before any tuple is built.  The work is (2 box + 1)^(n - 2) odometer
+steps and (2 box + 1)^(n - 1) scalar steps, not (2 box + 1)^n norms of
+O(n^2) each.
 """
 
 from math import isqrt
@@ -58,31 +62,47 @@ def enum_norm_vectors(gram, n, target, box):
     ``gram`` is the flat row-major n*n symmetric Gram matrix.  Output is
     a list of tuples in ascending lexicographic order.
 
-    The first n - 1 coordinates run through the box as an odometer (the
+    The first n - 2 coordinates run through the box as an odometer (the
     last of them fastest) carrying g = G v and the norm p of the prefix.
-    With the prefix fixed, the full norm is a x^2 + 2 b x + p, where
-    a = G[n-1][n-1] and b = g[n-1], so the last coordinate x solves
-    a x^2 + 2 b x + (p - target) == 0; solutions come out ascending.
+    Coordinate n - 2 is then scanned with scalars only: with it at y the
+    full norm is a x^2 + 2 b x + c + target, where a = G[n-1][n-1],
+    b = g[n-1] + y G[n-2][n-1] and c = p - target + y (2 g[n-2] +
+    y G[n-2][n-2]), so the last coordinate x solves a x^2 + 2 b x + c == 0.
+    For a != 0, y is dropped unless b^2 - a c is a perfect square, before
+    any tuple is built or any call made.  Solutions come out ascending.
     """
     if n == 0:
         return [()] if target == 0 else []
     if box < 0:
         return []
-    m = n - 1
-    a = gram[m * n + m]
+    if n == 1:
+        return [(x,) for x in _last_coordinates(gram[0], 0, -target, box)]
+    m, last = n - 2, n - 1
+    a = gram[last * n + last]
+    s = gram[m * n + last]
+    e = gram[m * n + m]
     cols = [gram[k::n] for k in range(m)]          # column k == row k
     diag = [gram[k * n + k] for k in range(m)]
     span = 2 * box
     wraps = [[-span * x for x in col] for col in cols]
+    ys = range(-box, box + 1)
     v = [-box] * m
     g = [-box * sum(gram[i * n:i * n + m]) for i in range(n)]
     p = -box * sum(g[:m])
     out = []
     while True:
-        xs = _last_coordinates(a, g[m], p - target, box)
-        if xs:
-            prefix = tuple(v)
-            out.extend(prefix + (x,) for x in xs)
+        gm, gl, c0 = g[m], g[last], p - target
+        for y in ys:
+            b = gl + y * s
+            c = c0 + y * (2 * gm + y * e)
+            if a:
+                disc = b * b - a * c
+                if disc < 0 or isqrt(disc) ** 2 != disc:
+                    continue
+            xs = _last_coordinates(a, b, c, box)
+            if xs:
+                prefix = (*v, y)
+                out.extend((*prefix, x) for x in xs)
         # advance: a coordinate at +box wraps to -box and carries left;
         # moving v[k] by t adds 2 t g[k] + t^2 G[k][k] to the norm
         k = m - 1

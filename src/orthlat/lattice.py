@@ -32,8 +32,10 @@ _E8_GRAM = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
 for _i, _j in _E8_BONDS:
     _E8_GRAM[_i - 1][_j - 1] = _E8_GRAM[_j - 1][_i - 1] = -1
 
-# Most odometer steps one box enumeration may take: about 1.5 s of
-# CPU, and 17 times the (2*4 + 1)^5 steps of a 2U+A2 census in box 4.
+# Most scalar steps (values of coordinate rank - 2, one per prefix of
+# the odometer) one box enumeration may take: 0.5 to 1.3 s of CPU,
+# depending on the number of hits, and 17 times the (2*4 + 1)^5 steps
+# of a 2U+A2 census in box 4.
 ENUM_STEP_BUDGET = 10 ** 6
 
 
@@ -160,7 +162,7 @@ class Lattice:
         in ascending lexicographic order.
 
         Raises TooLargeError, before any work, when the enumeration
-        needs more than ENUM_STEP_BUDGET odometer steps."""
+        needs more than ENUM_STEP_BUDGET scalar steps."""
         box = int(box)
         if box < 0:
             return []

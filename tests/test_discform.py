@@ -187,6 +187,16 @@ class TestEnumerate:
             enumerate_orth_d(form)
         assert built == []
 
+    def test_budget_counts_multiply_adds(self, monkeypatch):
+        # 2U+3<-6> has k = 3 generators; its search evaluates 4,068
+        # pairings, each a 3-term dot product
+        form = discriminant_form(build("2U+3<-6>"))
+        monkeypatch.setattr(discform, "ORTH_D_PAIRING_BUDGET", 3 * 4068)
+        assert len(enumerate_orth_d(form)) == 288
+        monkeypatch.setattr(discform, "ORTH_D_PAIRING_BUDGET", 3 * 4068 - 1)
+        with pytest.raises(TooLargeError):
+            enumerate_orth_d(form)
+
 
 # ---------------------------------------------------------------------
 # property tests against the Fraction implementation the integer table

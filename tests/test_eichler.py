@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from orthlat.discform import class_of, discriminant_form
 from orthlat.eichler import (
     HyperbolicSplitting,
+    OrbitInvariant,
     eichler_equivalent,
     orbit_invariant,
     rewrite_reflection,
@@ -355,6 +357,11 @@ class TestOrbitInvariantOnePass:
         assert inv.divisor == lat.divisor(v) == ref.order()
         assert inv.norm == lat.norm(v)
         assert class_of(lat, v) == ref
+        # built without __init__, yet the same value as the constructor's
+        built = OrbitInvariant(inv.norm, ref, inv.divisor)
+        assert inv == built and hash(inv) == hash(built) and repr(inv) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inv.norm = 0
 
     def test_every_census_root(self):
         lat = INVARIANT_LATTICES["2U+A2(-3)+<-6>"]

@@ -5,7 +5,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from orthlat import kernels
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# enumeration cases are cheap, and ranks 1..6 with four isotropy patterns
+# need this many draws to cover each
+PROPERTY = settings(max_examples=250, deadline=None, derandomize=True, database=None)
 
 
 def naive_matmul(a, b, n, k, m):
@@ -84,23 +86,25 @@ def connected(gram, n):
 @st.composite
 def enum_cases(draw):
     """(gram, n, target, box) with a random symmetric Gram matrix that
-    is not block-diagonal; the last basis vector is isotropic in about
-    half of the cases."""
-    n = draw(st.integers(1, 5))
+    is not block-diagonal; the last basis vector, the second-to-last
+    (scanned in scalars) or both are isotropic in some of the cases."""
+    n = draw(st.integers(1, 6))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
-    if draw(st.booleans()):
-        rows[n - 1][n - 1] = 0
+    for k in draw(st.sampled_from([(), (n - 1,), (n - 2,), (n - 2, n - 1)])):
+        if k >= 0:
+            rows[k][k] = 0
     gram = [x for row in rows for x in row]
     assume(connected(gram, n))
-    box = draw(st.integers(0, 3 if n < 5 else 2))
+    box = draw(st.integers(0, {5: 2, 6: 1}.get(n, 3)))
     return gram, n, draw(st.integers(-6, 6)), box
 
 
 class TestEnumProperties:
-    """The last-coordinate solve against the product loop."""
+    """The scalar scan of coordinate n - 2 and the last-coordinate
+    solve against the product loop."""
 
     @PROPERTY
     @given(enum_cases())
@@ -113,6 +117,11 @@ class TestEnumProperties:
     @example(([2, -1, -1, 2], 2, 2, 0))           # box 0
     @example(([2, 1, 0, 1, 0, 3, 0, 3, -2], 3, -2, 2))   # a < 0: roots reversed
     @example(([-2, 1, 1, 0], 2, 6, 3))            # a = 0 behind a negative diagonal
+    @example(([0, 3, 3, -2], 2, -2, 3))           # n = 2, G[0][0] = 0, a != 0
+    @example(([0, 1, 1, 2], 2, 4, 3))             # n = 2, G[0][0] = 0, a > 0
+    @example(([2, 0, 0, -2], 2, 0, 3))            # n = 2, G[0][1] = 0: b fixed by the prefix
+    @example(([-2, 0, 0, 0], 2, -8, 2))           # n = 2, G[0][1] = 0 and a = 0: whole columns
+    @example(([0, 1, 0, 1, 0, 2, 0, 2, 0], 3, 4, 2))     # both scanned coordinates isotropic
     def test_matches_product_loop(self, case):
         gram, n, target, box = case
         assert kernels.enum_norm_vectors(gram, n, target, box) == \
