@@ -104,10 +104,10 @@ class DiscriminantForm:
 
     def primitive_invariant(self, v) -> tuple[int, int, "DiscElement"]:
         """(v.v, div(v), class of v/div(v)) of a primitive lattice vector,
-        in one integer pass: with g = G v and d = gcd(g), the class has
-        coordinates (U g/d)[idx] mod orders.  A vector that is zero,
-        not integral or not primitive raises NotPrimitiveError, before
-        a wrong length raises ValueError."""
+        in one integer pass: one Gram product g = G v, then
+        divisor_and_class(g).  A vector that is zero, not integral or
+        not primitive raises NotPrimitiveError, before a wrong length
+        raises ValueError."""
         v = Vec(v)
         ents = v._ents
         if v._den != 1 or gcd(*ents) != 1:
@@ -115,11 +115,17 @@ class DiscriminantForm:
         if len(ents) != self.lattice.rank:
             raise ValueError("shape mismatch")
         g = [sum(map(mul, row, ents)) for row in self._gram_rows]
-        norm = sum(map(mul, ents, g))
+        d, coords = self.divisor_and_class(g)
+        return sum(map(mul, ents, g)), d, self._element(coords)
+
+    def divisor_and_class(self, g) -> tuple[int, tuple[int, ...]]:
+        """(d, coordinates of the class of v/d) from the integers
+        g = G v of a nonzero lattice vector v, with d = gcd(g) = div(v):
+        the class has coordinates (U g/d)[idx] mod orders."""
         d = gcd(*g)
         if d != 1:
             g = [x // d for x in g]
-        return norm, d, self._element(self._coords(g))
+        return d, self._coords(g)
 
     def q(self, elem: "DiscElement") -> Fraction:
         n = self.exponent

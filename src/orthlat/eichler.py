@@ -386,19 +386,33 @@ def root_orbit_census(split: HyperbolicSplitting, box: int) -> CensusReport:
     Exhaustive only within the box; by the equivalence criterion the
     number of distinct invariants is a lower bound for the number of
     stable-group orbits of roots.
+
+    Only the roots whose first nonzero coordinate is negative are
+    scanned, each classified from the G v the scan carries.  A root's
+    divisor divides (v, v) = -2, so its class is 2-torsion and -v falls
+    in its bucket: each count is doubled, and each bucket's first
+    scanned root is its lexicographically first.  Budget and errors as
+    for Lattice.enumerate_vectors.
     """
     split.require_u1()
     lat = split.lattice
-    buckets: dict[tuple, list] = {}
-    for r in lat.enumerate_vectors(-2, box):
-        inv = orbit_invariant(lat, r)
-        key = inv.key()
-        if key in buckets:
-            buckets[key][0] += 1
+    form = discriminant_form(lat)
+    classify = form.divisor_and_class
+    buckets: dict[tuple, list] = {}            # (divisor, class) -> [count, first root]
+    for v, g in lat.half_space_vectors(-2, box, gv=True):
+        key = classify(g)
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [1, v]
         else:
-            buckets[key] = [1, r, inv]
-    entries = tuple(
-        CensusEntry(invariant=val[2], count=val[0], witness=val[1])
-        for _, val in sorted(buckets.items(), key=lambda kv: (kv[1][2].divisor, kv[0]))
-    )
-    return CensusReport(box=box, entries=entries)
+            bucket[0] += 1
+    entries = []
+    for (d, coords), (count, v) in sorted(buckets.items()):
+        witness = Vec._raw(v)
+        inv = orbit_invariant(lat, witness)
+        if (inv.key() != (-2, coords) or inv.divisor != d
+                or orbit_invariant(lat, -witness).key() != inv.key()
+                or any(2 * c % o for c, o in zip(coords, form.orders))):
+            raise InternalSolveFailureError("census class is not 2-torsion or not its witness's")
+        entries.append(CensusEntry(invariant=inv, count=2 * count, witness=witness))
+    return CensusReport(box=box, entries=tuple(entries))

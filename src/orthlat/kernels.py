@@ -5,15 +5,18 @@ Both work on flat row-major lists of Python ints, so every sum is exact
 at any size.  ``Mat.__matmul__`` and ``Lattice.enumerate_vectors`` call
 them by module attribute.
 
-Enumeration never visits the whole box, and scans in two levels.  An
-odometer walks the first n - 2 coordinates and carries the prefix's
-G v and norm, updated in O(n) per step.  Coordinate n - 2 is scanned
-with scalars only: for each of its values the norm is a quadratic in
-the last coordinate x, solved exactly with ``math.isqrt``, and a value
-whose discriminant is negative or not a perfect square is dropped
-before any tuple is built.  The work is (2 box + 1)^(n - 2) odometer
-steps and (2 box + 1)^(n - 1) scalar steps, not (2 box + 1)^n norms of
-O(n^2) each.
+Enumeration never visits the whole box, and scans in two levels over
+half of it: v and -v have the same norm, so only the vectors whose
+first nonzero coordinate is negative are scanned, and the caller
+mirrors them.  An odometer walks the first n - 2 coordinates up to the
+zero prefix and carries the prefix's G v and norm, updated in O(n) per
+step.  Coordinate n - 2 is scanned with scalars only: for each of its
+values the norm is a quadratic in the last coordinate x, solved exactly
+with ``math.isqrt``, and a value whose discriminant is negative or not
+a perfect square is dropped before any tuple is built.  The work is
+about half of (2 box + 1)^(n - 2) odometer steps and of
+(2 box + 1)^(n - 1) scalar steps, not (2 box + 1)^n norms of O(n^2)
+each.
 """
 
 from math import isqrt
@@ -56,41 +59,53 @@ def _last_coordinates(a, b, c, box):
                  if r == 0 and -box <= x <= box)
 
 
-def enum_norm_vectors(gram, n, target, box):
-    """All integer coordinate vectors in [-box, box]^n with v^T G v == target.
+def enum_norm_vectors(gram, n, target, box, *, gv=False):
+    """The integer coordinate vectors v in [-box, box]^n with
+    v^T G v == target whose first nonzero coordinate is negative.
 
     ``gram`` is the flat row-major n*n symmetric Gram matrix.  Output is
-    a list of tuples in ascending lexicographic order.
+    a list of tuples in ascending lexicographic order; with ``gv`` each
+    hit is the pair (v, G v), G v a list.  These are exactly the hits
+    below the zero vector, and negation maps them onto the hits above
+    it, so the whole box's hits are these, then the zero vector when
+    target == 0, then these negated in reverse order.
 
     The first n - 2 coordinates run through the box as an odometer (the
-    last of them fastest) carrying g = G v and the norm p of the prefix.
-    Coordinate n - 2 is then scanned with scalars only: with it at y the
-    full norm is a x^2 + 2 b x + c + target, where a = G[n-1][n-1],
-    b = g[n-1] + y G[n-2][n-1] and c = p - target + y (2 g[n-2] +
-    y G[n-2][n-2]), so the last coordinate x solves a x^2 + 2 b x + c == 0.
-    For a != 0, y is dropped unless b^2 - a c is a perfect square, before
-    any tuple is built or any call made.  Solutions come out ascending.
+    last of them fastest) carrying g = G v and the norm p of the prefix;
+    it stops at the zero prefix, as every later prefix has a positive
+    first nonzero entry.  Coordinate n - 2 is then scanned with scalars
+    only (over y <= 0 behind the zero prefix, keeping x < 0 at y = 0):
+    with it at y the full norm is a x^2 + 2 b x + c + target, where
+    a = G[n-1][n-1], b = g[n-1] + y G[n-2][n-1] and c = p - target +
+    y (2 g[n-2] + y G[n-2][n-2]), so the last coordinate x solves
+    a x^2 + 2 b x + c == 0.  For a != 0, y is dropped unless b^2 - a c
+    is a perfect square, before any tuple is built or any call made.
+    A hit's G v is g + y G[:, n-2] + x G[:, n-1].
     """
-    if n == 0:
-        return [()] if target == 0 else []
-    if box < 0:
+    if n == 0 or box < 0:
         return []
     if n == 1:
-        return [(x,) for x in _last_coordinates(gram[0], 0, -target, box)]
+        a = gram[0]
+        return [((x,), [a * x]) if gv else (x,)
+                for x in _last_coordinates(a, 0, -target, box) if x < 0]
     m, last = n - 2, n - 1
     a = gram[last * n + last]
     s = gram[m * n + last]
     e = gram[m * n + m]
-    cols = [gram[k::n] for k in range(m)]          # column k == row k
+    cols = [gram[k::n] for k in range(n)]          # column k == row k
     diag = [gram[k * n + k] for k in range(m)]
+    col_y, col_x = cols[m], cols[last]
     span = 2 * box
-    wraps = [[-span * x for x in col] for col in cols]
+    wraps = [[-span * x for x in col] for col in cols[:m]]
     ys = range(-box, box + 1)
     v = [-box] * m
     g = [-box * sum(gram[i * n:i * n + m]) for i in range(n)]
     p = -box * sum(g[:m])
+    below = ((span + 1) ** m - 1) // 2     # prefixes before the zero prefix
     out = []
     while True:
+        if not below:
+            ys = range(-box, 1)
         gm, gl, c0 = g[m], g[last], p - target
         for y in ys:
             b = gl + y * s
@@ -101,18 +116,26 @@ def enum_norm_vectors(gram, n, target, box):
                     continue
             xs = _last_coordinates(a, b, c, box)
             if xs:
+                if not (below or y):
+                    xs = [x for x in xs if x < 0]
                 prefix = (*v, y)
-                out.extend((*prefix, x) for x in xs)
+                if gv:
+                    gy = [t + y * u for t, u in zip(g, col_y)]
+                    out.extend(((*prefix, x), [t + x * u for t, u in zip(gy, col_x)])
+                               for x in xs)
+                else:
+                    out.extend((*prefix, x) for x in xs)
+        if not below:
+            return out
+        below -= 1
         # advance: a coordinate at +box wraps to -box and carries left;
         # moving v[k] by t adds 2 t g[k] + t^2 G[k][k] to the norm
         k = m - 1
-        while k >= 0 and v[k] == box:
+        while v[k] == box:
             p += -2 * span * g[k] + span * span * diag[k]
             g = [x + y for x, y in zip(g, wraps[k])]
             v[k] = -box
             k -= 1
-        if k < 0:
-            return out
         p += 2 * g[k] + diag[k]
         g = [x + y for x, y in zip(g, cols[k])]
         v[k] += 1

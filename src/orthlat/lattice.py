@@ -23,7 +23,7 @@ from orthlat.errors import (
     TooLargeError,
     ZeroVectorError,
 )
-from orthlat.linalg import Mat, Vec, signature_of, smith_normal_form
+from orthlat.linalg import Mat, Vec, as_scalar, signature_of, smith_normal_form
 
 # Gram of the E8 root basis (Bourbaki node numbering: chain
 # 1-3-4-5-6-7-8 with node 2 hanging off node 4).
@@ -33,9 +33,10 @@ for _i, _j in _E8_BONDS:
     _E8_GRAM[_i - 1][_j - 1] = _E8_GRAM[_j - 1][_i - 1] = -1
 
 # Most scalar steps (values of coordinate rank - 2, one per prefix of
-# the odometer) one box enumeration may take: 0.5 to 1.3 s of CPU,
-# depending on the number of hits, and 17 times the (2*4 + 1)^5 steps
-# of a 2U+A2 census in box 4.
+# the odometer) a scan of the whole box would take, although only half
+# of it is scanned: near the budget, enumerate_vectors takes 0.2 to
+# 0.55 s of CPU, depending on the number of hits, and this is 17 times
+# the (2*4 + 1)^5 steps of a 2U+A2 census in box 4.
 ENUM_STEP_BUDGET = 10 ** 6
 
 
@@ -157,13 +158,19 @@ class Lattice:
         return v.is_integral() and v.content() == 1
 
     # -- enumeration ----------------------------------------------------
-    def enumerate_vectors(self, norm: int, box: int) -> list[Vec]:
-        """All v with coordinates in [-box, box]^rank and (v, v) == norm,
-        in ascending lexicographic order.
+    def half_space_vectors(self, norm, box, gv: bool = False) -> list:
+        """The kernel's hits for (v, v) == norm in [-box, box]^rank whose
+        first nonzero coordinate is negative, as ascending tuples (with
+        ``gv``, as pairs (v, G v)).
 
-        Raises TooLargeError, before any work, when the enumeration
-        needs more than ENUM_STEP_BUDGET scalar steps."""
-        box = int(box)
+        ``norm`` must be an int or a Fraction (a non-integral one has no
+        hits) and ``box`` an integer; anything else raises TypeError or
+        ValueError.  Raises TooLargeError, before any work, when the
+        whole box needs more than ENUM_STEP_BUDGET scalar steps, the
+        estimate (2 box + 1)^(rank - 1) even though half are scanned."""
+        norm, box = as_scalar(norm), as_scalar(box)
+        if not isinstance(box, int):
+            raise ValueError(f"box must be an integer, not {box}")
         if box < 0:
             return []
         steps = (2 * box + 1) ** (self.rank - 1)
@@ -171,9 +178,20 @@ class Lattice:
             raise TooLargeError(
                 f"box {box} at rank {self.rank} needs {steps} enumeration steps, "
                 f"over the budget of {ENUM_STEP_BUDGET}")
+        if not isinstance(norm, int):
+            return []
         flat = [x for row in self.gram.int_rows() for x in row]
-        hits = kernels.enum_norm_vectors(flat, self.rank, int(norm), box)
-        return [Vec._raw(h) for h in hits]
+        return kernels.enum_norm_vectors(flat, self.rank, norm, box, gv=gv)
+
+    def enumerate_vectors(self, norm, box) -> list[Vec]:
+        """All v with coordinates in [-box, box]^rank and (v, v) == norm,
+        in ascending lexicographic order: the half-space hits, then the
+        zero vector when norm == 0, then the hits negated in reverse.
+
+        Arguments and TooLargeError as for half_space_vectors."""
+        half = [Vec._raw(h) for h in self.half_space_vectors(norm, box)]
+        zero = [Vec.zero(self.rank)] if norm == 0 and box >= 0 else []
+        return half + zero + [-v for v in reversed(half)]
 
     # -- root existence -------------------------------------------------
     def find_root_witness(self, search_box: int):
@@ -187,9 +205,10 @@ class Lattice:
         for i in range(self.rank):
             if int(self.gram[i, i]) == -2:
                 return self.basis_vector(i), 0
-        hits = self.enumerate_vectors(-2, search_box)
+        # the first root of the box has a negative first nonzero entry
+        hits = self.half_space_vectors(-2, search_box)
         if hits:
-            return hits[0], search_box
+            return Vec._raw(hits[0]), search_box
         return None, search_box
 
     def kneser_check(self, search_box: int = 2) -> "KneserReport":

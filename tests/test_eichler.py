@@ -25,8 +25,10 @@ from orthlat.errors import (
     MissingSplittingError,
     NotPrimitiveError,
     NotRootError,
+    TooLargeError,
     UnsupportedCoordinatesError,
 )
+from orthlat import kernels
 from orthlat.isometry import Isometry, TransvectionAtom, membership, reflection, transvection
 from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat, Vec
@@ -305,6 +307,82 @@ class TestCensus:
         for entry in rep.entries:
             assert entry.invariant.divisor == lat.divisor(entry.witness)
             assert lat.norm(entry.witness) == -2
+
+    def test_over_budget_raises_before_enumerating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(kernels, "enum_norm_vectors", refuse)
+        split = standard_splitting(build("2U+2E8(-1)+<-6>"))
+        with pytest.raises(TooLargeError):
+            root_orbit_census(split, 1)
+
+
+def census_oracle(lat, box):
+    """(invariant, count, witness) per class: a product loop over the
+    box, orbit_invariant on every root, the first root seen as witness,
+    sorted by divisor and then key."""
+    g = lat.gram.int_rows()
+    n = lat.rank
+    buckets = {}
+    for v in itertools.product(range(-box, box + 1), repeat=n):
+        if sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n)) != -2:
+            continue
+        inv = orbit_invariant(lat, v)
+        if inv.key() in buckets:
+            buckets[inv.key()][1] += 1
+        else:
+            buckets[inv.key()] = [inv, 1, Vec(v)]
+    return [tuple(val) for _, val in
+            sorted(buckets.items(), key=lambda kv: (kv[1][0].divisor, kv[0]))]
+
+
+@st.composite
+def census_cases(draw):
+    """U + U + G0 with G0 a random even nondegenerate form of rank 1 or
+    2, its last basis vector isotropic or not, and a box in 0..2."""
+    k = draw(st.integers(1, 2))
+    g0 = [[0] * k for _ in range(k)]
+    for i in range(k):
+        g0[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i + 1, k):
+            g0[i][j] = g0[j][i] = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        g0[k - 1][k - 1] = 0
+    assume(Mat(g0).det() != 0)
+    n = 4 + k
+    rows = [[0] * n for _ in range(n)]
+    rows[0][1] = rows[1][0] = rows[2][3] = rows[3][2] = 1
+    for i in range(k):
+        for j in range(k):
+            rows[4 + i][4 + j] = g0[i][j]
+    return Lattice(Mat(rows)), draw(st.integers(0, 2))
+
+
+def check_census(lat, box):
+    rep = root_orbit_census(HyperbolicSplitting(lat, (0, 1), (2, 3)), box)
+    assert rep.box == box
+    assert [(e.invariant, e.count, e.witness) for e in rep.entries] == census_oracle(lat, box)
+
+
+class TestCensusOracle:
+    """The half-space census, classified from the scan's G v with
+    doubled counts, against the whole-box product loop."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(census_cases())
+    def test_matches_oracle(self, case):
+        check_census(*case)
+
+    @pytest.mark.parametrize("spec", ["2U+<-2>", "2U+<-10>"])
+    @pytest.mark.parametrize("box", [-1, 0, 1, 2])
+    def test_fixed_lattices(self, spec, box):
+        check_census(build(spec), box)
+
+    def test_divisor_two_and_two_classes(self):
+        assert [e.invariant.divisor for e in
+                root_orbit_census(standard_splitting(build("2U+<-2>")), 1).entries] == [1, 2]
+        assert root_orbit_census(standard_splitting(build("2U+<-10>")), 2).class_count() == 2
 
 
 # ---------------------------------------------------------------------

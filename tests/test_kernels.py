@@ -4,6 +4,8 @@ from itertools import product
 from hypothesis import assume, example, given, settings, strategies as st
 
 from orthlat import kernels
+from orthlat.lattice import Lattice
+from orthlat.linalg import Mat, Vec
 
 # enumeration cases are cheap, and ranks 1..6 with four isotropy patterns
 # need this many draws to cover each
@@ -18,10 +20,40 @@ def naive_matmul(a, b, n, k, m):
 
 
 def product_loop(gram, n, target, box):
+    """A negative box is empty, even at n = 0."""
     return [
         v for v in product(range(-box, box + 1), repeat=n)
-        if sum(v[i] * gram[i * n + j] * v[j] for i in range(n) for j in range(n)) == target
+        if box >= 0
+        and sum(v[i] * gram[i * n + j] * v[j] for i in range(n) for j in range(n)) == target
     ]
+
+
+def half_space(vectors):
+    """The vectors whose first nonzero coordinate is negative, that is,
+    those below the zero vector."""
+    return [v for v in vectors if v < (0,) * len(v)]
+
+
+def mirrored(half, n, target):
+    """The whole box's hits rebuilt from the half-space ones (box >= 0):
+    the half, the zero vector when target == 0, the half negated in
+    reverse."""
+    return half + [(0,) * n] * (target == 0) + [tuple(-x for x in v) for v in reversed(half)]
+
+
+def check_half_space(gram, n, target, box):
+    """The kernel's hits are the half-space part of the product loop,
+    they mirror onto all of it, and the gv form carries each hit's G v."""
+    full = product_loop(gram, n, target, box)
+    got = kernels.enum_norm_vectors(gram, n, target, box)
+    assert got == half_space(full)
+    if box >= 0:
+        assert mirrored(got, n, target) == full
+    pairs = kernels.enum_norm_vectors(gram, n, target, box, gv=True)
+    assert [v for v, _ in pairs] == got
+    for v, g in pairs:
+        assert g == [sum(gram[i * n + j] * v[j] for j in range(n)) for i in range(n)]
+    return got
 
 
 class TestMatMul:
@@ -50,24 +82,22 @@ class TestEnum:
     def test_lex_order_and_values(self):
         got = kernels.enum_norm_vectors(self.GRAM_2U, 4, -2, 1)
         assert got == sorted(got)
-        assert len(got) == 20
+        assert len(got) == 10
         assert all(2 * (x * y + z * w) == -2 for x, y, z, w in got)
+        assert got == half_space(got)
 
     def test_2u_isotropic_against_product_loop(self):
-        got = kernels.enum_norm_vectors(self.GRAM_2U, 4, 0, 2)
-        assert got == product_loop(self.GRAM_2U, 4, 0, 2)
+        check_half_space(self.GRAM_2U, 4, 0, 2)
 
     def test_big_gram_exact(self):
         big = 1 << 61
         gram = [2 * big, 0, 0, -2 * big]
-        got = kernels.enum_norm_vectors(gram, 2, 0, 2)
-        assert got == product_loop(gram, 2, 0, 2)
-        # the isotropic vectors of big*(x^2 - y^2)
-        assert (1, 1) in got and (1, -1) in got and (0, 0) in got
+        got = check_half_space(gram, 2, 0, 2)
+        # the isotropic vectors of big*(x^2 - y^2) below zero
+        assert (-1, -1) in got and (-1, 1) in got and (0, 0) not in got
 
     def test_exhaustive_against_product_loop(self):
-        gram = [2, -1, -1, 2]
-        assert kernels.enum_norm_vectors(gram, 2, 2, 3) == product_loop(gram, 2, 2, 3)
+        check_half_space([2, -1, -1, 2], 2, 2, 3)
 
 
 def connected(gram, n):
@@ -102,6 +132,25 @@ def enum_cases(draw):
     return gram, n, draw(st.integers(-6, 6)), box
 
 
+@st.composite
+def lattice_cases(draw):
+    """(gram, n, target, box) with an even nondegenerate Gram matrix,
+    the last basis vector, the second-to-last or both isotropic in some
+    of the cases, and an even target."""
+    n = draw(st.integers(0, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 * draw(st.integers(-2, 2))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
+    for k in draw(st.sampled_from([(), (n - 1,), (n - 2,), (n - 2, n - 1)])):
+        if k >= 0:
+            rows[k][k] = 0
+    assume(Mat(rows).det() != 0)
+    box = draw(st.integers(-1, {4: 2, 5: 1}.get(n, 3)))
+    return [x for row in rows for x in row], n, 2 * draw(st.integers(-3, 3)), box
+
+
 class TestEnumProperties:
     """The scalar scan of coordinate n - 2 and the last-coordinate
     solve against the product loop."""
@@ -123,15 +172,33 @@ class TestEnumProperties:
     @example(([-2, 0, 0, 0], 2, -8, 2))           # n = 2, G[0][1] = 0 and a = 0: whole columns
     @example(([0, 1, 0, 1, 0, 2, 0, 2, 0], 3, 4, 2))     # both scanned coordinates isotropic
     def test_matches_product_loop(self, case):
-        gram, n, target, box = case
-        assert kernels.enum_norm_vectors(gram, n, target, box) == \
-            product_loop(gram, n, target, box)
+        check_half_space(*case)
 
     def test_rank_zero_and_negative_box(self):
-        assert kernels.enum_norm_vectors([], 0, 0, 2) == product_loop([], 0, 0, 2) == [()]
+        assert kernels.enum_norm_vectors([], 0, 0, 2) == []
+        assert mirrored([], 0, 0) == product_loop([], 0, 0, 2) == [()]
         assert kernels.enum_norm_vectors([], 0, 1, 2) == []
         gram = [2, -1, -1, 2]
         assert kernels.enum_norm_vectors(gram, 2, 2, -1) == product_loop(gram, 2, 2, -1) == []
+
+    @PROPERTY
+    @given(lattice_cases())
+    @example(([], 0, 0, 2))                       # rank 0: the zero vector alone
+    @example(([2], 1, 0, 3))                      # n = 1: the zero vector alone
+    @example(([-4], 1, 0, 0))
+    @example(([0, 1, 1, 0], 2, 0, 2))             # n = 2: zero among isotropic vectors
+    @example(([2, -1, -1, 2], 2, 0, 3))
+    @example(([0, 1, 1, 0], 2, 0, 0))
+    @example(([0, 1, 1, 0], 2, -2, -1))           # negative box: nothing, not zero
+    @example(([2], 1, 0, -1))
+    def test_lattice_matches_product_loop(self, case):
+        """enumerate_vectors, the half-space scan plus its mirror, against
+        the product loop on even nondegenerate Gram matrices."""
+        gram, n, target, box = case
+        lat = Lattice(Mat([gram[i * n:(i + 1) * n] for i in range(n)]))
+        got = lat.enumerate_vectors(target, box)
+        assert got == [Vec(v) for v in product_loop(gram, n, target, box)]
+        assert got.count(Vec.zero(n)) == (target == 0 and box >= 0)
 
 
 def test_backend_reported():

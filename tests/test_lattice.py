@@ -205,6 +205,24 @@ class TestEnumeration:
         with pytest.raises(TooLargeError):
             build("<-2>+<-2>").enumerate_vectors(-2, ENUM_STEP_BUDGET // 2)
 
+    def test_non_integral_norm_has_no_vectors(self):
+        lat = build("2U+A2")
+        assert lat.enumerate_vectors(Fraction(5, 2), 1) == []
+        assert lat.enumerate_vectors(Fraction(4, 2), 1) == lat.enumerate_vectors(2, 1)
+        assert len(lat.enumerate_vectors(2, 1)) == 226
+
+    def test_float_norm_raises(self):
+        with pytest.raises(TypeError):
+            build("2U+A2").enumerate_vectors(2.7, 1)
+
+    def test_non_integral_box_raises(self):
+        lat = build("2U+A2")
+        with pytest.raises(ValueError):
+            lat.enumerate_vectors(2, Fraction(3, 2))
+        with pytest.raises(TypeError):
+            lat.enumerate_vectors(2, 1.5)
+        assert lat.enumerate_vectors(2, Fraction(2, 2)) == lat.enumerate_vectors(2, 1)
+
 
 class TestKneser:
     def test_file_lattice_over_budget(self):
