@@ -237,8 +237,11 @@ def induced_map(lattice: Lattice, mat: Mat) -> DiscAutomorphism:
 
 
 def is_stable(lattice: Lattice, mat: Mat) -> bool:
-    """Whether the isometry acts trivially on D(L)."""
-    return induced_map(lattice, mat).is_identity()
+    """Whether the integral isometry g acts trivially on D(L): (g - 1) L* in L,
+    tested on the generators of D.  Raises as check_isometry."""
+    lattice.check_isometry(mat, integral=True)
+    return all((mat.apply(g) - g).is_integral()
+               for g in discriminant_form(lattice).generators)
 
 
 def enumerate_orth_d(form: DiscriminantForm, cap: int = 10000) -> list[DiscAutomorphism]:

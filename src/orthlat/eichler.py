@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from orthlat.discform import DiscElement, class_of, discriminant_form
+from orthlat.discform import DiscElement, discriminant_form
 from orthlat.errors import (
     EquivalenceFailsError,
     InternalSolveFailureError,
@@ -47,19 +47,15 @@ class HyperbolicSplitting:
         self.u_idx = tuple(u_idx)
         self.u1_idx = tuple(u1_idx) if u1_idx is not None else None
         self._check_plane(self.u_idx)
-        self.e = lattice.basis_vector(self.u_idx[0])
-        self.f = lattice.basis_vector(self.u_idx[1])
+        self.e, self.f = (lattice.basis_vector(i) for i in self.u_idx)
+        self.e1 = self.f1 = None
         if self.u1_idx is not None:
+            if set(self.u1_idx) & set(self.u_idx):
+                raise MissingSplittingError(f"planes {self.u_idx} and {self.u1_idx} overlap")
             self._check_plane(self.u1_idx)
-            self.e1 = lattice.basis_vector(self.u1_idx[0])
-            self.f1 = lattice.basis_vector(self.u1_idx[1])
-        else:
-            self.e1 = self.f1 = None
-        used = set(self.u_idx)
-        self.l1_indices = tuple(i for i in range(lattice.rank) if i not in used)
-        if self.u1_idx is not None:
-            used |= set(self.u1_idx)
-        self.l0_indices = tuple(i for i in range(lattice.rank) if i not in used)
+            self.e1, self.f1 = (lattice.basis_vector(i) for i in self.u1_idx)
+        self.l1_indices = tuple(i for i in range(lattice.rank) if i not in self.u_idx)
+        self.l0_indices = tuple(i for i in self.l1_indices if i not in (self.u1_idx or ()))
 
     def _check_plane(self, idx):
         g = self.lattice.gram
@@ -78,12 +74,10 @@ class HyperbolicSplitting:
         if not self.has_u1:
             raise MissingSplittingError("a second hyperbolic plane is required")
 
-    def l1_basis(self) -> list[Vec]:
-        return [self.lattice.basis_vector(i) for i in self.l1_indices]
-
     def in_l1(self, v) -> bool:
-        """Supported away from the first plane."""
-        return all(self.lattice.inner(v, w) == 0 for w in (self.e, self.f))
+        """Orthogonal to the first plane: G v vanishes at its indices."""
+        gv = self.lattice.gram.apply(v)
+        return all(gv[i] == 0 for i in self.u_idx)
 
 
 def standard_splitting(lattice: Lattice) -> HyperbolicSplitting:
@@ -115,11 +109,9 @@ class _PlaneReducer:
     def __init__(self, split: HyperbolicSplitting, v: Vec):
         split.require_u1()
         self.split = split
-        lat = split.lattice
-        self.x = lat.inner(v, split.f)
-        self.y = lat.inner(v, split.e)
-        self.x1 = lat.inner(v, split.f1)
-        self.y1 = lat.inner(v, split.e1)
+        gv = split.lattice.gram.apply(v)           # pairings with the basis
+        (e, f), (e1, f1) = split.u_idx, split.u1_idx
+        self.x, self.y, self.x1, self.y1 = gv[f], gv[e], gv[f1], gv[e1]
         self.applied: list[TransvectionAtom] = []
 
     # the four generators, with integer multiplicity k
@@ -199,8 +191,7 @@ def so22_reduce(split: HyperbolicSplitting, v) -> tuple[GroupWord, Vec]:
     split.require_u1()
     v = Vec(v)
     lat = split.lattice
-    span = {*split.u_idx, *split.u1_idx}
-    if any(v[i] != 0 for i in range(lat.rank) if i not in span):
+    if any(v[i] for i in split.l0_indices):
         raise UnsupportedCoordinatesError("vector is not supported on the two planes")
     applied, image = _reduce_into_l1(split, v)
     return GroupWord(lat, tuple(reversed(applied))), image
@@ -229,14 +220,19 @@ def orbit_invariant(lattice: Lattice, v) -> OrbitInvariant:
     return inv
 
 
+def _invariant_pair(split: HyperbolicSplitting, u, v) -> tuple[OrbitInvariant, OrbitInvariant]:
+    """orbit_invariant of u and of v, one integer pass each."""
+    split.require_u1()
+    try:
+        return orbit_invariant(split.lattice, u), orbit_invariant(split.lattice, v)
+    except NotPrimitiveError:
+        raise NotPrimitiveError("equivalence applies to primitive vectors") from None
+
+
 def eichler_equivalent(split: HyperbolicSplitting, u, v) -> bool:
     """Same norm and same class of u*/v* in D(L)."""
-    split.require_u1()
-    lat = split.lattice
-    u, v = Vec(u), Vec(v)
-    if not (lat.is_primitive(u) and lat.is_primitive(v)):
-        raise NotPrimitiveError("equivalence applies to primitive vectors")
-    return lat.norm(u) == lat.norm(v) and class_of(lat, u) == class_of(lat, v)
+    iu, iv = _invariant_pair(split, u, v)
+    return iu.key() == iv.key()
 
 
 def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
@@ -249,28 +245,23 @@ def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
     """
     lat = split.lattice
     u, v = Vec(u), Vec(v)
-    if not eichler_equivalent(split, u, v):
+    iu, iv = _invariant_pair(split, u, v)
+    if iu.key() != iv.key():
         raise EquivalenceFailsError("vectors differ in norm or discriminant class")
     if u == v:
         return GroupWord(lat)
-    d = lat.divisor(u)
-    if lat.divisor(v) != d:
-        raise EquivalenceFailsError("divisors differ")
+    d = iu.divisor          # the order of the class, so also v's divisor
 
     au, u1 = _reduce_into_l1(split, u)
     av, v1 = _reduce_into_l1(split, v)
 
-    l1_basis = split.l1_basis()
-
     def pair_to_d(x: Vec) -> Vec:
-        row = [lat.inner(x, b) for b in l1_basis]
-        sol = solve_linear(Mat([row]), [d])
+        gx = lat.gram.apply(x)
+        sol = solve_linear(Mat([[gx[i] for i in split.l1_indices]]), [d])
         if sol is None:
             raise InternalSolveFailureError("no vector pairing to the divisor")
-        out = Vec.zero(lat.rank)
-        for c, b in zip(sol, l1_basis):
-            out = out + c * b
-        return out
+        coords = dict(zip(split.l1_indices, sol))
+        return Vec(coords.get(i, 0) for i in range(lat.rank))
 
     up = pair_to_d(u1)
     vp = pair_to_d(v1)

@@ -465,14 +465,13 @@ def membership(lattice: Lattice, mat: Mat) -> Membership:
     """Subgroup flags for an arbitrary matrix; all False when it is not
     an integral isometry of the lattice."""
     try:
-        lattice.check_isometry(mat, integral=True)
+        stable = discform.is_stable(lattice, mat)
     except (NotIntegralError, NotIsometryError):
         return _ALL_FALSE
     g = Isometry._trusted(lattice, mat)
     so = g.det() == 1
     sn_q = spinor_norm_q(g)
     o_plus = sn_q > 0
-    stable = discform.is_stable(lattice, mat)
     return Membership(
         in_o=True,
         in_so=so,

@@ -23,7 +23,7 @@ from orthlat.errors import (
     TooLargeError,
     ZeroVectorError,
 )
-from orthlat.linalg import Mat, Vec, as_scalar, signature_of, smith_normal_form
+from orthlat.linalg import Mat, Vec, as_scalar, parse_scalar, signature_of, smith_normal_form
 
 # Gram of the E8 root basis (Bourbaki node numbering: chain
 # 1-3-4-5-6-7-8 with node 2 hanging off node 4).
@@ -125,24 +125,10 @@ class Lattice:
         return self._cache["snf"]
 
     def rank_p(self, p: int) -> int:
-        """Rank of the Gram matrix over F_p (equivalently, the number of
-        Smith invariant factors coprime to p)."""
-        a = [[x % p for x in row] for row in self.gram.int_rows()]
-        n = self.rank
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, n) if a[i][col]), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = pow(a[r][col], -1, p)
-            a[r] = [(x * inv) % p for x in a[r]]
-            for i in range(n):
-                if i != r and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-            r += 1
-        return r
+        """Rank of the Gram matrix over F_p for a prime p: the number of
+        Smith invariant factors coprime to p."""
+        _, s, _ = self.snf()
+        return sum(1 for i in range(self.rank) if int(s[i, i]) % p)
 
     # -- divisors and primitivity -------------------------------------
     def divisor(self, v) -> int:
@@ -336,12 +322,16 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(data: dict) -> Lattice:
-    """Inverse of lattice_to_json.  Gram entries are integers, as decimal
-    strings or JSON integers; any other shape raises ValueError."""
+    """Inverse of lattice_to_json.  Gram entries are integers, as JSON
+    integers or scalar strings read by parse_scalar ("4/2" is 2); any
+    other shape, or a non-integral entry, raises ValueError."""
     rows = data.get("gram") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError('lattice JSON must be an object whose "gram" is a list of lists')
-    gram = Mat([[int(str(x)) for x in row] for row in rows])
+    try:
+        gram = Mat([[parse_scalar(x) for x in row] for row in rows])
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad Gram entry: {exc}") from None
     labels = data.get("labels")
     if labels is not None and not (isinstance(labels, list) and len(labels) == gram.n
                                    and all(isinstance(x, str) for x in labels)):

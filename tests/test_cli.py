@@ -121,10 +121,13 @@ class TestLattice:
         {"gram": [5, 6]},
         {"gram": [[None, "1"], ["1", "0"]]},
         {"gram": [[0.9, "1"], ["1", "0"]]},
+        {"gram": [["0", "1/2"], ["1/2", "0"]]},
+        {"gram": [["0", "1/0"], ["1/0", "0"]]},
         {"gram": [["0", "1"], ["1", "0"]], "labels": 7},
         {"gram": [["0", "1"], ["1", "0"]], "labels": ["a"]},
         {"gram": [["0", "1"], ["1", "0"]], "labels": ["a", 3]},
     ], ids=["top-level-list", "gram-int", "gram-rows-int", "entry-null", "entry-float",
+            "entry-non-integral", "entry-zero-denominator",
             "labels-int", "labels-short", "labels-not-strings"])
     def test_malformed_file_is_invalid_input(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"
@@ -243,7 +246,18 @@ class TestOrbit:
         code, data = run_json(capsys, "orbit", cmd, "--spec", "2U+<-2>",
                               "--json", '{"u": ["1/2","0","0","0","0"], "v": ["1","0","0","0","0"]}')
         assert code == 1
-        assert data["error"] == "not-primitive"
+        assert data == {"error": "not-primitive",
+                        "detail": "equivalence applies to primitive vectors"}
+
+    @pytest.mark.parametrize("cmd", ["equiv", "transport"])
+    @pytest.mark.parametrize("v", [["2", "0", "0", "0", "2"], ["0", "0", "0", "0", "0"]],
+                             ids=["imprimitive", "zero"])
+    def test_integral_vector_not_primitive(self, capsys, cmd, v):
+        code, data = run_json(capsys, "orbit", cmd, "--spec", "2U+<-2>",
+                              "--json", json.dumps({"u": ["1", "0", "0", "0", "0"], "v": v}))
+        assert code == 1
+        assert data == {"error": "not-primitive",
+                        "detail": "equivalence applies to primitive vectors"}
 
     def test_transport_refuses(self, capsys):
         code, data = run_json(capsys, "orbit", "transport", "--spec", "2U+<-2>",

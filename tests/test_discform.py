@@ -24,7 +24,7 @@ from orthlat.eichler import standard_splitting
 from orthlat.isometry import reflection
 from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat
-from orthlat.sampling import integral_transvection_atom
+from orthlat.sampling import integral_transvection_atom, mixed_word
 
 
 def minus_identity(n):
@@ -303,3 +303,38 @@ class TestAgainstFractionOracle:
         form = discriminant_form(lat)
         got = [a.key() for a in enumerate_orth_d(form)]
         assert got == brute_force_orth_d(form, oracle_forms(lat)[0])
+
+
+# ---------------------------------------------------------------------
+# is_stable, (g - 1) L* in L, against the induced automorphism of D
+
+STABLE_SPLITS = {spec: standard_splitting(build(spec))
+                 for spec in ("2U+<-6>", "2U+<-10>", "2U+A2(-3)+<-6>")}
+
+
+def twisted_word(spec, seed, length, twist):
+    """A seeded mixed word times the identity, -1, or the reflection in
+    the last basis vector, the generator of <-2d>."""
+    split = STABLE_SPLITS[spec]
+    lat = split.lattice
+    mat = mixed_word(split, random.Random(seed), length).evaluate().mat
+    if twist == "minus":
+        mat = mat @ minus_identity(lat.rank)
+    elif twist == "reflection":
+        mat = mat @ reflection(lat, lat.basis_vector(lat.rank - 1)).mat
+    return lat, mat
+
+
+class TestStableAgainstInducedMap:
+    @PROPERTY
+    @given(st.sampled_from(sorted(STABLE_SPLITS)), st.integers(0, 2**32 - 1),
+           st.integers(0, 5), st.sampled_from(("none", "minus", "reflection")))
+    def test_matches_identity_on_d(self, spec, seed, length, twist):
+        lat, mat = twisted_word(spec, seed, length, twist)
+        assert is_stable(lat, mat) == induced_map(lat, mat).is_identity()
+
+    def test_both_answers_occur(self):
+        for spec in STABLE_SPLITS:
+            answers = {is_stable(*twisted_word(spec, seed, 3, twist))
+                       for seed in range(3) for twist in ("none", "minus", "reflection")}
+            assert answers == {True, False}

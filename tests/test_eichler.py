@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -53,6 +55,13 @@ class TestSplitting:
             standard_splitting(build("A2"))
         with pytest.raises(MissingSplittingError):
             HyperbolicSplitting(build("U(2)"), (0, 1))
+
+    def test_rejects_overlapping_planes(self):
+        lat = build("2U+<-2>")
+        for u1 in ((1, 0), (0, 1), (1, 2)):
+            with pytest.raises(MissingSplittingError):
+                HyperbolicSplitting(lat, (0, 1), u1)
+        assert HyperbolicSplitting(lat, (2, 3), (1, 0)).l0_indices == (4,)
 
     def test_single_plane_has_no_u1(self):
         split = standard_splitting(build("U+A2"))
@@ -494,3 +503,61 @@ class TestTransportProperty:
         assert word.is_integral()
         assert all(isinstance(a, TransvectionAtom) and a.e in (split.e, split.f)
                    for a in word.atoms)
+
+
+# ---------------------------------------------------------------------
+# the criterion from one invariant pass per vector, against norm and
+# class_of computed separately
+
+class TestEquivalenceOracle:
+    @PROPERTY
+    @given(spec=st.sampled_from(sorted(TRANSPORT_SPLITS)), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_same_norm_and_class(self, spec, seed, data):
+        """v is either a random primitive vector or the image of u under
+        a seeded integral word, so that both answers occur."""
+        split = TRANSPORT_SPLITS[spec]
+        lat = split.lattice
+        vectors = st.lists(st.integers(-4, 4), min_size=lat.rank, max_size=lat.rank)
+        u = data.draw(vectors)
+        assume(gcd(*u) == 1)
+        if data.draw(st.booleans()):
+            v = data.draw(vectors)
+            assume(gcd(*v) == 1)
+        else:
+            rng = random.Random(seed)
+            v = list(transvection_word(split, rng, rng.randint(0, 4)).apply(u))
+        expected = lat.norm(u) == lat.norm(v) and class_of(lat, u) == class_of(lat, v)
+        assert eichler_equivalent(split, u, v) == expected
+
+
+# ---------------------------------------------------------------------
+# transport witnesses pinned atom for atom
+
+def pinned_pairs(lat, seed, count=30, box=2):
+    """count seeded pairs of distinct equivalent roots in the box."""
+    groups = {}
+    for r in lat.enumerate_vectors(-2, box):
+        groups.setdefault(orbit_invariant(lat, r).key(), []).append(r)
+    pools = [groups[k] for k in sorted(groups) if len(groups[k]) > 1]
+    rng = random.Random(seed)
+    return [rng.sample(rng.choice(pools), 2) for _ in range(count)]
+
+
+# sha256 of json.dumps([w.to_json() for w in words], sort_keys=True) for
+# the 30 witnesses on 2U+<-2d> with seed d
+TRANSPORT_DIGESTS = {
+    1: "9a3196fe0119e24c44fed03d21bd059f465c7ebb38233ac69bb0602682de1345",
+    2: "647464efb76412659193a984f97c7a9dbcc128d3d45ee21944f4101be29d3224",
+    3: "1dd74c2305de8bf1f8bd86d0c22f8b027a54d7f3816ba883152884928f7dd931",
+    4: "dd67650e1352dbd1fff57e0fdb19f9526a2d0c7194a4c2b3af3bef080def23a1",
+    5: "18fd4faa02ae69454d72c5c561a3ac013e212baeb87190e90dde77876c6089ec",
+}
+
+
+@pytest.mark.parametrize("d", sorted(TRANSPORT_DIGESTS))
+def test_transport_witnesses_pinned(d):
+    split = TRANSPORT_SPLITS[f"2U+<-{2 * d}>"]
+    words = [transport_witness(split, u, v) for u, v in pinned_pairs(split.lattice, d)]
+    text = json.dumps([w.to_json() for w in words], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSPORT_DIGESTS[d]

@@ -24,7 +24,7 @@ from orthlat.isometry import (
     transvection,
 )
 from orthlat.eichler import standard_splitting
-from orthlat.lattice import build
+from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat, Vec
 from orthlat.sampling import (
     integral_isometry,
@@ -301,6 +301,26 @@ class TestMembership:
         assert not any(vars(membership(lat, Mat([[1, 0]]))).values())
         half = Mat([[Fraction(1, 2), 0], [0, 2]])
         assert not any(vars(membership(lat, half)).values())
+
+    def test_checks_isometry_once(self, monkeypatch):
+        # the all-False case comes from the one check inside is_stable
+        calls = []
+        real = Lattice.check_isometry
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Lattice, "check_isometry", counted)
+        lat = build("2U+<-6>")
+        mats = [transvection(lat, [1, 0, 0, 0, 0], [0, 0, 1, 2, 1]).mat,
+                reflection(lat, [0, 0, 0, 0, 1]).mat,
+                Mat.identity(5) * 2,
+                reflection(lat, [1, 1, 0, 0, 1]).mat]
+        for mat in mats:
+            calls.clear()
+            membership(lat, mat)
+            assert len(calls) == 1
 
     def test_isometry_constructor_rejects(self):
         with pytest.raises(NotIsometryError):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fractions import Fraction
+from hypothesis import assume, given, settings, strategies as st
 
 from orthlat import kernels
 from orthlat.errors import OddDiagonalError, SpecParseError, TooLargeError, ZeroVectorError
@@ -13,7 +14,43 @@ from orthlat.lattice import (
     lattice_from_json,
     lattice_to_json,
 )
-from orthlat.linalg import Mat, Vec, invariant_factors
+from orthlat.linalg import Mat, Vec
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def rank_mod_p(gram: Mat, p: int) -> int:
+    """Rank of an integer matrix over F_p by Gauss-Jordan elimination."""
+    a = [[x % p for x in row] for row in gram.int_rows()]
+    n = len(a)
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [(x * inv) % p for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+@st.composite
+def even_grams(draw):
+    """A nondegenerate even symmetric integer matrix of rank at most 6."""
+    n = draw(st.integers(1, 6))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.integers(-6, 6))
+    gram = Mat(rows)
+    assume(gram.det() != 0)
+    return gram
 
 
 class TestBuilders:
@@ -109,8 +146,7 @@ class TestInvariants:
         lat = build("2U+A2(-3)")
         n = lat.rank
         for p in (2, 3, 5):
-            factors = invariant_factors(lat.gram)
-            assert lat.rank_p(p) == sum(1 for d in factors if d % p)
+            assert lat.rank_p(p) == rank_mod_p(lat.gram, p)
         for _ in range(10):
             q = Mat.identity(n)
             for _ in range(8):
@@ -123,6 +159,11 @@ class TestInvariants:
             conj = Lattice(q.transpose() @ lat.gram @ q)
             for p in (2, 3):
                 assert conj.rank_p(p) == lat.rank_p(p)
+
+    @PROPERTY
+    @given(even_grams(), st.sampled_from((2, 3, 5)))
+    def test_rank_p_is_rank_mod_p(self, gram, p):
+        assert Lattice(gram).rank_p(p) == rank_mod_p(gram, p)
 
 
 class TestDivisor:
@@ -272,3 +313,7 @@ class TestJson:
         again = lattice_from_json(lattice_to_json(lat))
         assert again == lat
         assert again.labels == lat.labels
+
+    def test_gram_entries_read_as_scalars(self):
+        lat = lattice_from_json({"gram": [["0", "4/4"], ["2/2", "-6/3"]]})
+        assert lat.gram.int_rows() == [[0, 1], [1, -2]]
