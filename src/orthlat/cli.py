@@ -38,7 +38,7 @@ class UsageError(Exception):
 def _parse_scalar(s) -> int | Fraction:
     try:
         return parse_scalar(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad scalar {str(s)!r}") from exc
 
 
@@ -221,10 +221,11 @@ def cmd_orbit_equiv(args) -> dict:
     data = _payload(args)
     u = _parse_vec(_need(data, "u"))
     v = _parse_vec(_need(data, "v"))
+    iu, iv = eichler.invariant_pair(split, u, v)
     return {
-        "equivalent": eichler.eichler_equivalent(split, u, v),
-        "invariantU": _invariant_json(eichler.orbit_invariant(lat, u)),
-        "invariantV": _invariant_json(eichler.orbit_invariant(lat, v)),
+        "equivalent": iu.key() == iv.key(),
+        "invariantU": _invariant_json(iu),
+        "invariantV": _invariant_json(iv),
     }
 
 

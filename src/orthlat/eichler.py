@@ -13,6 +13,7 @@ of roots by orbit invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from orthlat.discform import DiscElement, discriminant_form
 from orthlat.errors import (
@@ -220,7 +221,7 @@ def orbit_invariant(lattice: Lattice, v) -> OrbitInvariant:
     return inv
 
 
-def _invariant_pair(split: HyperbolicSplitting, u, v) -> tuple[OrbitInvariant, OrbitInvariant]:
+def invariant_pair(split: HyperbolicSplitting, u, v) -> tuple[OrbitInvariant, OrbitInvariant]:
     """orbit_invariant of u and of v, one integer pass each."""
     split.require_u1()
     try:
@@ -231,7 +232,7 @@ def _invariant_pair(split: HyperbolicSplitting, u, v) -> tuple[OrbitInvariant, O
 
 def eichler_equivalent(split: HyperbolicSplitting, u, v) -> bool:
     """Same norm and same class of u*/v* in D(L)."""
-    iu, iv = _invariant_pair(split, u, v)
+    iu, iv = invariant_pair(split, u, v)
     return iu.key() == iv.key()
 
 
@@ -245,7 +246,7 @@ def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
     """
     lat = split.lattice
     u, v = Vec(u), Vec(v)
-    iu, iv = _invariant_pair(split, u, v)
+    iu, iv = invariant_pair(split, u, v)
     if iu.key() != iv.key():
         raise EquivalenceFailsError("vectors differ in norm or discriminant class")
     if u == v:
@@ -379,26 +380,28 @@ def root_orbit_census(split: HyperbolicSplitting, box: int) -> CensusReport:
     stable-group orbits of roots.
 
     Only the roots whose first nonzero coordinate is negative are
-    scanned, each classified from the G v the scan carries.  A root's
-    divisor divides (v, v) = -2, so its class is 2-torsion and -v falls
-    in its bucket: each count is doubled, and each bucket's first
-    scanned root is its lexicographically first.  Budget and errors as
-    for Lattice.enumerate_vectors.
+    scanned, tallied by residue mod 2, and each residue is classified
+    once from the G v of its first root: the class of a root depends
+    only on its residue (see kernels).  A root's divisor divides
+    (v, v) = -2, so its class is 2-torsion and -v falls in its bucket:
+    each count is doubled.  Residues come in scan order, so each
+    bucket's first root is its lexicographically first.  Budget and
+    errors as for Lattice.enumerate_vectors.
     """
     split.require_u1()
     lat = split.lattice
     form = discriminant_form(lat)
-    classify = form.divisor_and_class
-    buckets: dict[tuple, list] = {}            # (divisor, class) -> [count, first root]
-    for v, g in lat.half_space_vectors(-2, box, gv=True):
-        key = classify(g)
+    rows = lat.gram.int_rows()
+    buckets: dict[tuple, list] = {}            # (divisor, class) -> [first root, count]
+    for v, count in lat.half_space_vectors(-2, box, tally=True):
+        key = form.divisor_and_class([sum(map(mul, row, v)) for row in rows])
         bucket = buckets.get(key)
         if bucket is None:
-            buckets[key] = [1, v]
+            buckets[key] = [v, count]
         else:
-            bucket[0] += 1
+            bucket[1] += count
     entries = []
-    for (d, coords), (count, v) in sorted(buckets.items()):
+    for (d, coords), (v, count) in sorted(buckets.items()):
         witness = Vec._raw(v)
         inv = orbit_invariant(lat, witness)
         if (inv.key() != (-2, coords) or inv.divisor != d

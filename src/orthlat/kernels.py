@@ -3,7 +3,11 @@ enumeration.
 
 Both work on flat row-major lists of Python ints, so every sum is exact
 at any size.  ``Mat.__matmul__`` and ``Lattice.enumerate_vectors`` call
-them by module attribute.
+them by module attribute.  The root census asks the enumerator for a
+tally instead: a count and a first hit per residue v mod 2, for the
+class of a root in D(L) depends only on that residue.  A root's divisor
+d divides (v, v) = -2, so d == 2 exactly when G v == 0 mod 2, d == 1
+gives the zero class, and v == v' mod 2 gives v/2 == v'/2 in L*/L.
 
 Enumeration never visits the whole box, and scans in two levels over
 half of it: v and -v have the same norm, so only the vectors whose
@@ -59,16 +63,19 @@ def _last_coordinates(a, b, c, box):
                  if r == 0 and -box <= x <= box)
 
 
-def enum_norm_vectors(gram, n, target, box, *, gv=False):
+def enum_norm_vectors(gram, n, target, box, *, tally=False):
     """The integer coordinate vectors v in [-box, box]^n with
     v^T G v == target whose first nonzero coordinate is negative.
 
     ``gram`` is the flat row-major n*n symmetric Gram matrix.  Output is
-    a list of tuples in ascending lexicographic order; with ``gv`` each
-    hit is the pair (v, G v), G v a list.  These are exactly the hits
-    below the zero vector, and negation maps them onto the hits above
-    it, so the whole box's hits are these, then the zero vector when
-    target == 0, then these negated in reverse order.
+    a list of tuples in ascending lexicographic order.  These are
+    exactly the hits below the zero vector, and negation maps them onto
+    the hits above it, so the whole box's hits are these, then the zero
+    vector when target == 0, then these negated in reverse order.
+
+    With ``tally`` the output is [first hit, count] per residue v mod 2
+    hit, ascending by first hit, and no other hit becomes a tuple: the
+    odometer carries the prefix's parities as a bitmask.
 
     The first n - 2 coordinates run through the box as an odometer (the
     last of them fastest) carrying g = G v and the norm p of the prefix;
@@ -85,16 +92,15 @@ def enum_norm_vectors(gram, n, target, box, *, gv=False):
     if n == 0 or box < 0:
         return []
     if n == 1:
-        a = gram[0]
-        return [((x,), [a * x]) if gv else (x,)
-                for x in _last_coordinates(a, 0, -target, box) if x < 0]
+        out = [(x,) for x in _last_coordinates(gram[0], 0, -target, box) if x < 0]
+        # one hit, or every x < 0 (a == target == 0): parities alternate
+        return [[v, len(out[i::2])] for i, v in enumerate(out[:2])] if tally else out
     m, last = n - 2, n - 1
     a = gram[last * n + last]
     s = gram[m * n + last]
     e = gram[m * n + m]
     cols = [gram[k::n] for k in range(n)]          # column k == row k
     diag = [gram[k * n + k] for k in range(m)]
-    col_y, col_x = cols[m], cols[last]
     span = 2 * box
     wraps = [[-span * x for x in col] for col in cols[:m]]
     ys = range(-box, box + 1)
@@ -102,7 +108,8 @@ def enum_norm_vectors(gram, n, target, box, *, gv=False):
     g = [-box * sum(gram[i * n:i * n + m]) for i in range(n)]
     p = -box * sum(g[:m])
     below = ((span + 1) ** m - 1) // 2     # prefixes before the zero prefix
-    out = []
+    mask = 0                               # bit k: (v[k] + box) mod 2
+    out, tallies = [], {}
     while True:
         if not below:
             ys = range(-box, 1)
@@ -118,18 +125,23 @@ def enum_norm_vectors(gram, n, target, box, *, gv=False):
             if xs:
                 if not (below or y):
                     xs = [x for x in xs if x < 0]
-                prefix = (*v, y)
-                if gv:
-                    gy = [t + y * u for t, u in zip(g, col_y)]
-                    out.extend(((*prefix, x), [t + x * u for t, u in zip(gy, col_x)])
-                               for x in xs)
+                if tally:
+                    ry = mask | (y & 1) << m
+                    for x in xs:
+                        r = ry | (x & 1) << last
+                        t = tallies.get(r)
+                        if t is None:
+                            tallies[r] = [(*v, y, x), 1]
+                        else:
+                            t[1] += 1
                 else:
+                    prefix = (*v, y)
                     out.extend((*prefix, x) for x in xs)
         if not below:
-            return out
+            return list(tallies.values()) if tally else out
         below -= 1
-        # advance: a coordinate at +box wraps to -box and carries left;
-        # moving v[k] by t adds 2 t g[k] + t^2 G[k][k] to the norm
+        # advance: a coordinate at +box wraps to -box (same parity) and
+        # carries left; moving v[k] by t adds 2 t g[k] + t^2 G[k][k]
         k = m - 1
         while v[k] == box:
             p += -2 * span * g[k] + span * span * diag[k]
@@ -139,3 +151,4 @@ def enum_norm_vectors(gram, n, target, box, *, gv=False):
         p += 2 * g[k] + diag[k]
         g = [x + y for x, y in zip(g, cols[k])]
         v[k] += 1
+        mask ^= 1 << k

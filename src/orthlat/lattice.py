@@ -144,10 +144,10 @@ class Lattice:
         return v.is_integral() and v.content() == 1
 
     # -- enumeration ----------------------------------------------------
-    def half_space_vectors(self, norm, box, gv: bool = False) -> list:
+    def half_space_vectors(self, norm, box, tally: bool = False) -> list:
         """The kernel's hits for (v, v) == norm in [-box, box]^rank whose
         first nonzero coordinate is negative, as ascending tuples (with
-        ``gv``, as pairs (v, G v)).
+        ``tally``, as one [first hit, count] per residue mod 2).
 
         ``norm`` must be an int or a Fraction (a non-integral one has no
         hits) and ``box`` an integer; anything else raises TypeError or
@@ -167,7 +167,7 @@ class Lattice:
         if not isinstance(norm, int):
             return []
         flat = [x for row in self.gram.int_rows() for x in row]
-        return kernels.enum_norm_vectors(flat, self.rank, norm, box, gv=gv)
+        return kernels.enum_norm_vectors(flat, self.rank, norm, box, tally=tally)
 
     def enumerate_vectors(self, norm, box) -> list[Vec]:
         """All v with coordinates in [-box, box]^rank and (v, v) == norm,
@@ -328,10 +328,7 @@ def lattice_from_json(data: dict) -> Lattice:
     rows = data.get("gram") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError('lattice JSON must be an object whose "gram" is a list of lists')
-    try:
-        gram = Mat([[parse_scalar(x) for x in row] for row in rows])
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad Gram entry: {exc}") from None
+    gram = Mat([[parse_scalar(x) for x in row] for row in rows])
     labels = data.get("labels")
     if labels is not None and not (isinstance(labels, list) and len(labels) == gram.n
                                    and all(isinstance(x, str) for x in labels)):

@@ -38,11 +38,14 @@ def parse_scalar(s) -> Scalar:
     """Exact canonical scalar from its JSON text form, "p/q" or a
     decimal integer: "4/2" gives the int 2.
 
-    Raises ValueError or ZeroDivisionError on malformed text."""
+    Raises ValueError on malformed text or a zero denominator."""
     s = str(s)
     if "/" in s:
         p, q = s.split("/", 1)
-        return as_scalar(Fraction(int(p), int(q)))
+        p, q = int(p), int(q)
+        if q == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return as_scalar(Fraction(p, q))
     return int(s)
 
 

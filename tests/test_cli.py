@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from orthlat import isometry
+from orthlat import eichler, isometry
 from orthlat.cli import main
 
 
@@ -233,6 +233,22 @@ class TestOrbit:
         assert code == 0
         assert data["equivalent"] is True
         assert data["invariantU"]["divisor"] == "1"
+
+    def test_equiv_computes_each_invariant_once(self, capsys, monkeypatch):
+        calls = []
+        real = eichler.orbit_invariant
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eichler, "orbit_invariant", counted)
+        code, data = run_json(capsys, "orbit", "equiv", "--spec", "2U+A2",
+                              "--json", '{"u": ["1","-1","0","0","0","0"], '
+                                        '"v": ["0","0","1","-1","0","0"]}')
+        assert code == 0
+        assert data["equivalent"] is True
+        assert len(calls) == 2
 
     def test_transport(self, capsys):
         code, data = run_json(capsys, "orbit", "transport", "--spec", "2U+<-2>",

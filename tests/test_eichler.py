@@ -35,6 +35,7 @@ from orthlat.isometry import Isometry, TransvectionAtom, membership, reflection,
 from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat, Vec
 from orthlat.sampling import mixed_word, transvection_word
+from orthlat.suite import IDENTITY_LATTICES
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +376,7 @@ def check_census(lat, box):
 
 
 class TestCensusOracle:
-    """The half-space census, classified from the scan's G v with
+    """The half-space census, classified once per residue mod 2 with
     doubled counts, against the whole-box product loop."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -387,6 +388,17 @@ class TestCensusOracle:
     @pytest.mark.parametrize("box", [-1, 0, 1, 2])
     def test_fixed_lattices(self, spec, box):
         check_census(build(spec), box)
+
+    @pytest.mark.parametrize("spec", [*IDENTITY_LATTICES, "2U+A2(-3)+<-6>"])
+    def test_invariant_constant_on_residues_mod_2(self, spec):
+        """The lemma the census rests on: (divisor, class) of a root is
+        a function of the root mod 2."""
+        lat = build(spec)
+        seen = {}
+        for v in lat.enumerate_vectors(-2, 2):
+            inv = orbit_invariant(lat, v)
+            key = seen.setdefault(tuple(x % 2 for x in v), (inv.divisor, inv.key()))
+            assert key == (inv.divisor, inv.key()), v
 
     def test_divisor_two_and_two_classes(self):
         assert [e.invariant.divisor for e in

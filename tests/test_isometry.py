@@ -359,6 +359,10 @@ class TestGroupWord:
         assert again.atoms == w.atoms
         assert again.evaluate() == w.evaluate()
 
+    def test_json_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            GroupWord.from_json(build("U"), [{"type": "reflection", "mirror": ["1", "1/0"]}])
+
     def test_inverse_atom(self):
         from orthlat.isometry import InverseAtom
 

@@ -41,18 +41,24 @@ def mirrored(half, n, target):
     return half + [(0,) * n] * (target == 0) + [tuple(-x for x in v) for v in reversed(half)]
 
 
+def parity_groups(hits):
+    """[first hit, count] per residue mod 2 of the hits, in the order
+    the residues first occur."""
+    groups = {}
+    for v in hits:
+        groups.setdefault(tuple(x % 2 for x in v), [v, 0])[1] += 1
+    return list(groups.values())
+
+
 def check_half_space(gram, n, target, box):
     """The kernel's hits are the half-space part of the product loop,
-    they mirror onto all of it, and the gv form carries each hit's G v."""
+    they mirror onto all of it, and the tally groups them by parity."""
     full = product_loop(gram, n, target, box)
     got = kernels.enum_norm_vectors(gram, n, target, box)
     assert got == half_space(full)
     if box >= 0:
         assert mirrored(got, n, target) == full
-    pairs = kernels.enum_norm_vectors(gram, n, target, box, gv=True)
-    assert [v for v, _ in pairs] == got
-    for v, g in pairs:
-        assert g == [sum(gram[i * n + j] * v[j] for j in range(n)) for i in range(n)]
+    assert kernels.enum_norm_vectors(gram, n, target, box, tally=True) == parity_groups(got)
     return got
 
 
@@ -114,11 +120,11 @@ def connected(gram, n):
 
 
 @st.composite
-def enum_cases(draw):
+def enum_cases(draw, max_rank=6):
     """(gram, n, target, box) with a random symmetric Gram matrix that
     is not block-diagonal; the last basis vector, the second-to-last
     (scanned in scalars) or both are isotropic in some of the cases."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_rank))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -173,6 +179,23 @@ class TestEnumProperties:
     @example(([0, 1, 0, 1, 0, 2, 0, 2, 0], 3, 4, 2))     # both scanned coordinates isotropic
     def test_matches_product_loop(self, case):
         check_half_space(*case)
+
+    @PROPERTY
+    @given(enum_cases(max_rank=5))
+    @example(([0], 1, 0, 3))                      # n = 1, a = 0: every x < 0
+    @example(([2], 1, 2, 3))                      # n = 1, x = -1 only
+    @example(([-2, 0, 0, 0], 2, -8, 3))           # a = 0, b = c = 0: whole columns
+    @example(([0, 1, 1, 0], 2, 0, 3))             # a = 0: all x < 0 at y = 0, x = 0 after
+    @example(([2, 1, 0, 0, 1,  1, -2, 1, 0, 0,  0, 1, 0, 1, 0,  0, 0, 1, 2, 0,
+               1, 0, 0, 0, 0], 5, -2, 3))         # n = 5, box 3, a = 0
+    def test_tally_matches_product_loop_by_parity(self, case):
+        """Each residue's count is half its whole-box count, the zero
+        vector aside, and its first hit is the whole box's first."""
+        gram, n, target, box = case
+        rest = parity_groups([v for v in product_loop(gram, n, target, box) if any(v)])
+        assert all(count % 2 == 0 for _, count in rest)
+        assert kernels.enum_norm_vectors(gram, n, target, box, tally=True) == \
+            [[v, count // 2] for v, count in rest]
 
     def test_rank_zero_and_negative_box(self):
         assert kernels.enum_norm_vectors([], 0, 0, 2) == []

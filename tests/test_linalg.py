@@ -11,6 +11,7 @@ from orthlat.linalg import (
     Vec,
     congruence_diagonalize,
     invariant_factors,
+    parse_scalar,
     signature_of,
     smith_normal_form,
     solve_linear,
@@ -80,6 +81,18 @@ class TestVecMat:
     def test_det_fractions(self):
         m = Mat([[Fraction(1, 2), 0], [0, 4]])
         assert m.det() == 2
+
+
+class TestParseScalar:
+    def test_canonical(self):
+        assert parse_scalar("4/2") == 2 and type(parse_scalar("4/2")) is int
+        assert parse_scalar("-3/6") == Fraction(-1, 2)
+        assert parse_scalar("7") == 7
+
+    @pytest.mark.parametrize("text", ["1/0", "-5/0", "0/0", "x", "1/2/3", "1.5"])
+    def test_malformed_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
 
 
 class TestSmith:
