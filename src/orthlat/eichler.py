@@ -31,7 +31,7 @@ from orthlat.isometry import (
     TransvectionAtom,
     reflection,
 )
-from orthlat.lattice import Lattice
+from orthlat.lattice import Lattice, plane_defect
 from orthlat.linalg import Mat, Vec, solve_linear
 
 
@@ -59,13 +59,9 @@ class HyperbolicSplitting:
         self.l0_indices = tuple(i for i in self.l1_indices if i not in (self.u1_idx or ()))
 
     def _check_plane(self, idx):
-        g = self.lattice.gram
-        i, j = idx
-        if int(g[i, i]) or int(g[j, j]) or int(g[i, j]) != 1:
-            raise MissingSplittingError(f"indices {idx} do not span a unimodular plane")
-        for k in range(self.lattice.rank):
-            if k not in idx and (int(g[i, k]) or int(g[j, k])):
-                raise MissingSplittingError(f"plane {idx} is not an orthogonal summand")
+        defect = plane_defect(self.lattice.gram.int_rows(), *idx)
+        if defect:
+            raise MissingSplittingError(defect.format(idx))
 
     @property
     def has_u1(self) -> bool:
@@ -82,13 +78,12 @@ class HyperbolicSplitting:
 
 
 def standard_splitting(lattice: Lattice) -> HyperbolicSplitting:
-    """Splitting along the first two unscaled U blocks of a built lattice."""
-    planes = [(b.start, b.start + 1) for b in lattice.blocks
-              if b.kind == "U" and b.scale == 1]
+    """Splitting along the first two planes of lattice.hyperbolic_planes():
+    for a built lattice, its first two unscaled U summands."""
+    planes = lattice.hyperbolic_planes()
     if not planes:
         raise MissingSplittingError("lattice has no unimodular hyperbolic block")
-    u1 = planes[1] if len(planes) > 1 else None
-    return HyperbolicSplitting(lattice, planes[0], u1)
+    return HyperbolicSplitting(lattice, *planes[:2])
 
 
 # ---------------------------------------------------------------------

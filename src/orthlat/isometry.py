@@ -428,11 +428,6 @@ def spinor_norm_q(g: Isometry, order=None) -> int:
     return squarefree_class(acc)
 
 
-def spinor_norm_r(g: Isometry) -> int:
-    """Real spinor norm: +1 or -1, the sign of the rational one."""
-    return 1 if spinor_norm_q(g) > 0 else -1
-
-
 # ---------------------------------------------------------------------
 # membership flags
 

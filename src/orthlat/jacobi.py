@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from orthlat.eichler import HyperbolicSplitting
+from orthlat.eichler import HyperbolicSplitting, standard_splitting
 from orthlat.errors import NotUnimodularError
 from orthlat.isometry import Isometry, rank_update, reflection, transvection
 from orthlat.lattice import Lattice
@@ -23,7 +23,8 @@ from orthlat.linalg import Mat, Vec
 
 
 def jacobi_lattice(l0: Lattice) -> tuple[Lattice, HyperbolicSplitting]:
-    """2U + L0 with basis order (e, e1, L0..., f1, f)."""
+    """2U + L0 with basis order (e, e1, L0..., f1, f), split along the
+    planes (0, n - 1) and (1, n - 2) that standard_splitting finds first."""
     n0 = l0.rank
     n = n0 + 4
     g = [[0] * n for _ in range(n)]
@@ -35,8 +36,7 @@ def jacobi_lattice(l0: Lattice) -> tuple[Lattice, HyperbolicSplitting]:
             g[2 + i][2 + j] = s0[i][j]
     labels = ("e", "e1", *l0.labels, "f1", "f")
     lat = Lattice(Mat(g), labels)
-    split = HyperbolicSplitting(lat, (0, n - 1), (1, n - 2))
-    return lat, split
+    return lat, standard_splitting(lat)
 
 
 def _int(x) -> int:

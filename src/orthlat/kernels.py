@@ -42,6 +42,15 @@ def imat_mul(a, b, n, k, m):
     return out
 
 
+def _roots(a, b, r, box):
+    """The x in [-box, box] with a x == -b -+ r, ascending (a != 0,
+    r >= 0 the exact square root of the discriminant b^2 - a c)."""
+    ends = (-b - r, -b + r) if a > 0 else (-b + r, -b - r)
+    if r == 0:
+        ends = ends[:1]
+    return [x for x, m in (divmod(t, a) for t in ends) if m == 0 and -box <= x <= box]
+
+
 def _last_coordinates(a, b, c, box):
     """The x in [-box, box] with a x^2 + 2 b x + c == 0, ascending."""
     if a == 0:
@@ -50,17 +59,9 @@ def _last_coordinates(a, b, c, box):
         x, r = divmod(-c, 2 * b)
         return (x,) if r == 0 and -box <= x <= box else ()
     disc = b * b - a * c
-    if disc < 0:
+    if disc < 0 or (r := isqrt(disc)) * r != disc:
         return ()
-    s = isqrt(disc)
-    if s * s != disc:
-        return ()
-    # x = (-b -+ s) / a; ascending whatever the sign of a
-    ends = (-b - s, -b + s) if a > 0 else (-b + s, -b - s)
-    if s == 0:
-        ends = ends[:1]
-    return tuple(x for x, r in (divmod(t, a) for t in ends)
-                 if r == 0 and -box <= x <= box)
+    return _roots(a, b, r, box)
 
 
 def enum_norm_vectors(gram, n, target, box, *, tally=False):
@@ -86,7 +87,8 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
     a = G[n-1][n-1], b = g[n-1] + y G[n-2][n-1] and c = p - target +
     y (2 g[n-2] + y G[n-2][n-2]), so the last coordinate x solves
     a x^2 + 2 b x + c == 0.  For a != 0, y is dropped unless b^2 - a c
-    is a perfect square, before any tuple is built or any call made.
+    is a perfect square, before any tuple is built or any call made,
+    and x is read off the square root r as (-b -+ r) / a.
     A hit's G v is g + y G[:, n-2] + x G[:, n-1].
     """
     if n == 0 or box < 0:
@@ -119,9 +121,11 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
             c = c0 + y * (2 * gm + y * e)
             if a:
                 disc = b * b - a * c
-                if disc < 0 or isqrt(disc) ** 2 != disc:
+                if disc < 0 or (r := isqrt(disc)) * r != disc:
                     continue
-            xs = _last_coordinates(a, b, c, box)
+                xs = _roots(a, b, r, box)
+            else:
+                xs = _last_coordinates(0, b, c, box)
             if xs:
                 if not (below or y):
                     xs = [x for x in xs if x < 0]

@@ -2,10 +2,10 @@
 bounded vector enumeration.
 
 A lattice is a symmetric integer Gram matrix with even diagonal and
-nonzero determinant, plus optional basis labels.  Builders assemble
-block sums from the standard pieces (hyperbolic plane U, rank-one
-even forms, A2, E8, and rescalings); the block structure is remembered
-so that root-existence checks can short-circuit on known witnesses.
+nonzero determinant, plus optional basis labels, and nothing else.
+Builders assemble direct sums of the standard pieces (hyperbolic plane
+U, rank-one even forms, A2, E8, and rescalings); the hyperbolic planes
+that give root witnesses and splittings are read off the Gram matrix.
 """
 
 from __future__ import annotations
@@ -40,21 +40,24 @@ for _i, _j in _E8_BONDS:
 ENUM_STEP_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Block:
-    """One direct summand of a built lattice."""
-    kind: str          # "U", "A2", "E8", "gen" (rank-one)
-    start: int
-    size: int
-    scale: int
+def plane_defect(rows, i: int, j: int) -> str | None:
+    """None when basis vectors i and j span a unimodular hyperbolic plane
+    that is an orthogonal summand: G_ii == G_jj == 0, G_ij == 1 and rows
+    i and j zero everywhere else.  Otherwise the failure, as a message
+    template for the index pair.  ``rows`` is the Gram matrix as lists."""
+    if rows[i][i] or rows[j][j] or rows[i][j] != 1:
+        return "indices {} do not span a unimodular plane"
+    if any((rows[i][k] or rows[j][k]) for k in range(len(rows)) if k != i and k != j):
+        return "plane {} is not an orthogonal summand"
+    return None
 
 
 class Lattice:
     """Even lattice with immutable Gram matrix and cached invariants."""
 
-    __slots__ = ("gram", "rank", "labels", "blocks", "_cache")
+    __slots__ = ("gram", "rank", "labels", "_cache")
 
-    def __init__(self, gram: Mat, labels=None, blocks=()):
+    def __init__(self, gram: Mat, labels=None):
         if not gram.is_integral():
             raise ValueError("Gram matrix must be integral")
         if not gram.is_symmetric():
@@ -69,7 +72,6 @@ class Lattice:
         if labels is None:
             labels = tuple(f"b{i}" for i in range(gram.n))
         self.labels = tuple(labels)
-        self.blocks = tuple(blocks)
         self._cache = {}
 
     # -- identity -----------------------------------------------------
@@ -179,15 +181,24 @@ class Lattice:
         zero = [Vec.zero(self.rank)] if norm == 0 and box >= 0 else []
         return half + zero + [-v for v in reversed(half)]
 
-    # -- root existence -------------------------------------------------
+    # -- hyperbolic planes and root existence ---------------------------
+    def hyperbolic_planes(self) -> list[tuple[int, int]]:
+        """The index pairs (i, j), i < j, in scan order, whose basis
+        vectors span a unimodular hyperbolic plane that is an orthogonal
+        summand (``plane_defect`` is None); no two share an index.  A
+        plane not spanned by two basis vectors is not found."""
+        rows, n = self.gram.int_rows(), self.rank
+        return [(i, j) for i in range(n) for j in range(i + 1, n)
+                if plane_defect(rows, i, j) is None]
+
     def find_root_witness(self, search_box: int):
-        """A vector of square -2, from block shortcuts when possible and
-        otherwise by exhaustive box search.  Returns (vec | None, box)."""
-        for blk in self.blocks:
-            if blk.kind == "U" and blk.scale == 1:
-                v = [0] * self.rank
-                v[blk.start], v[blk.start + 1] = 1, -1
-                return Vec(v), 0
+        """A vector of square -2: e - f of the first hyperbolic plane, or
+        a basis vector of square -2, when there is one, and otherwise the
+        first root of an exhaustive box search.  Returns (vec | None, box)."""
+        planes = self.hyperbolic_planes()
+        if planes:
+            i, j = planes[0]
+            return self.basis_vector(i) - self.basis_vector(j), 0
         for i in range(self.rank):
             if int(self.gram[i, i]) == -2:
                 return self.basis_vector(i), 0
@@ -247,12 +258,12 @@ def _block_gram(kind: str, param: int | None, scale: int):
     return base, labels
 
 
-def build_blocks(blocks: list[tuple[str, int | None, int]]) -> Lattice:
-    """Assemble a lattice from (kind, param, scale) block descriptors."""
-    grams, labels, descs = [], [], []
-    start = 0
+def _direct_sum(terms: list[tuple[str, int | None, int]]) -> Lattice:
+    """The direct sum of (kind, param, scale) pieces, in order; a
+    repeated kind numbers its labels from the second copy on."""
+    grams, labels = [], []
     counts: dict[str, int] = {}
-    for kind, param, scale in blocks:
+    for kind, param, scale in terms:
         if scale == 0:
             raise SpecParseError("zero rescaling")
         g, ls = _block_gram(kind, param, scale)
@@ -261,9 +272,7 @@ def build_blocks(blocks: list[tuple[str, int | None, int]]) -> Lattice:
         suffix = "" if k == 0 else str(k)
         grams.append(g)
         labels.extend(l + suffix for l in ls)
-        descs.append(Block(kind, start, len(g), scale))
-        start += len(g)
-    n = start
+    n = len(labels)
     full = [[0] * n for _ in range(n)]
     pos = 0
     for g in grams:
@@ -271,7 +280,7 @@ def build_blocks(blocks: list[tuple[str, int | None, int]]) -> Lattice:
             for j, x in enumerate(row):
                 full[pos + i][pos + j] = x
         pos += len(g)
-    return Lattice(Mat(full), labels, descs)
+    return Lattice(Mat(full), labels)
 
 
 _TERM_RE = re.compile(
@@ -281,7 +290,7 @@ _TERM_RE = re.compile(
 
 def parse_block_spec(spec: str) -> Lattice:
     """Parse the block mini-language, e.g. "2U+2E8(-1)+<-6>"."""
-    blocks = []
+    terms = []
     for term in spec.split("+"):
         term = term.strip()
         m = _TERM_RE.match(term)
@@ -290,25 +299,17 @@ def parse_block_spec(spec: str) -> Lattice:
         if m.group(2):
             count = int(m.group(1) or "1")
             scale = int(m.group(3) or "1")
-            blocks.extend((m.group(2), None, scale) for _ in range(count))
+            terms.extend((m.group(2), None, scale) for _ in range(count))
         else:
             count = int(m.group(4) or "1")
-            blocks.extend(("gen", int(m.group(5)), 1) for _ in range(count))
-    if not blocks:
+            terms.extend(("gen", int(m.group(5)), 1) for _ in range(count))
+    if not terms:
         raise SpecParseError("empty lattice spec")
-    return build_blocks(blocks)
+    return _direct_sum(terms)
 
 
 def build(spec: str) -> Lattice:
     return parse_block_spec(spec)
-
-
-def rescale(lat: Lattice, m: int) -> Lattice:
-    """The same module with the form multiplied by m."""
-    if m == 0:
-        raise SpecParseError("zero rescaling")
-    blocks = tuple(Block(b.kind, b.start, b.size, b.scale * m) for b in lat.blocks)
-    return Lattice(m * lat.gram, lat.labels, blocks)
 
 
 # ---------------------------------------------------------------------

@@ -419,11 +419,6 @@ def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
     return Mat(u), Mat(a), Mat(v)
 
 
-def invariant_factors(m: Mat) -> list[int]:
-    _, s, _ = smith_normal_form(m)
-    return [int(s[i, i]) for i in range(min(m.n, m.m))]
-
-
 def solve_linear(a: Mat, b) -> Vec | None:
     """An integer solution x of A x = b, or None when none exists."""
     if not a.is_integral():

@@ -5,6 +5,8 @@ import pytest
 
 from orthlat import eichler, isometry
 from orthlat.cli import main
+from orthlat.lattice import build, lattice_to_json
+from orthlat.suite import IDENTITY_LATTICES
 
 
 def run_cli(capsys, *argv):
@@ -96,15 +98,33 @@ class TestLattice:
         assert code == 1
         assert data["error"] == "too-large"
 
-    def test_kneser_rank21_file_too_large(self, capsys, tmp_path):
-        # a --file lattice has no blocks, and this one no -2 on the
-        # diagonal, so the root search has to enumerate the box
+    def test_kneser_rank21_file_too_large(self, capsys, tmp_path, skewed):
+        # in this basis no two basis vectors span a plane and the diagonal
+        # is -4, 0 and -6, so the root search has to enumerate the box
+        path = tmp_path / "rank21.json"
+        path.write_text(json.dumps(lattice_to_json(skewed(build("2U+2E8(-2)+<-6>"), "r1", "r2"))))
+        code, data = run_json(capsys, "lattice", "kneser", "--file", str(path), "--box", "2")
+        assert code == 1
+        assert data["error"] == "too-large"
+
+    def test_kneser_rank21_file_answers_from_its_plane(self, capsys, tmp_path):
         code, data = run_json(capsys, "lattice", "info", "--spec", "2U+2E8(-2)+<-6>")
         path = tmp_path / "rank21.json"
         path.write_text(json.dumps(data))
         code, data = run_json(capsys, "lattice", "kneser", "--file", str(path), "--box", "2")
+        assert code == 0
+        assert data["representsMinus2"] == {"found": True, "searchBox": 0,
+                                            "vector": ["1", "-1"] + ["0"] * 19}
+
+    def test_census_file_planes_off_the_basis_missing_splitting(self, capsys, tmp_path,
+                                                                skewed):
+        # finding a plane that no two basis vectors span is left open
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps(lattice_to_json(skewed(build("2U+A2"), "a", "b"))))
+        code, data = run_json(capsys, "lattice", "census", "--file", str(path), "--box", "1")
         assert code == 1
-        assert data["error"] == "too-large"
+        assert data == {"error": "missing-splitting",
+                        "detail": "lattice has no unimodular hyperbolic block"}
 
     def test_round_trip_through_file(self, capsys, tmp_path):
         code, data = run_json(capsys, "lattice", "info", "--spec", "2U+A2(-1)")
@@ -481,3 +501,32 @@ GOLDEN = [
 def test_golden_stdout(capsys, argv, code, digest):
     got, out = run_cli(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# -- --file round trip --------------------------------------------------
+#
+# The lattice info output of a spec, read back with --file, is the same
+# Gram matrix, so every command that reads the lattice prints the same
+# bytes: its hyperbolic planes come from the Gram matrix either way.
+
+ROUND_TRIP_SPECS = sorted({argv[argv.index("--spec") + 1] for argv, _, _ in
+                           (p.values for p in GOLDEN) if "--spec" in argv}
+                          | set(IDENTITY_LATTICES))
+
+
+def _round_trip_commands(spec):
+    n = build(spec).rank
+    pair = json.dumps({"u": [str(x) for x in ([1, -1] + [0] * n)[:n]],
+                       "v": [str(x) for x in ([0, 0, 1, -1] + [0] * n)[:n]]})
+    return [["lattice", "census", "--box", "2"], ["lattice", "kneser", "--box", "1"],
+            ["orbit", "equiv", "--json", pair], ["orbit", "transport", "--json", pair]]
+
+
+@pytest.mark.parametrize("spec", ROUND_TRIP_SPECS)
+def test_file_round_trip_byte_identical(capsys, tmp_path, spec):
+    code, info = run_cli(capsys, "lattice", "info", "--spec", spec)
+    assert code == 0
+    path = tmp_path / "lat.json"
+    path.write_text(info)
+    for argv in _round_trip_commands(spec):
+        assert run_cli(capsys, *argv, "--spec", spec) == run_cli(capsys, *argv, "--file", str(path))

@@ -19,7 +19,6 @@ from orthlat.isometry import (
     membership,
     reflection,
     spinor_norm_q,
-    spinor_norm_r,
     squarefree_class,
     transvection,
 )
@@ -247,7 +246,6 @@ class TestSpinorNorm:
     def test_reflection_value(self):
         lat = build("2U+<-2>")
         assert spinor_norm_q(reflection(lat, [1, -1, 0, 0, 0])) == 1
-        assert spinor_norm_r(reflection(lat, [1, -1, 0, 0, 0])) == 1
         assert spinor_norm_q(reflection(lat, [1, 1, 0, 0, 0])) == -1
 
     def test_transvections_trivial(self):

@@ -35,6 +35,13 @@ class TestLattice:
         assert lat.inner(split.e1, split.f1) == 1
         assert lat.norm(split.e) == 0
 
+    @pytest.mark.parametrize("spec", ["<-2>", "A2", "U+A2"])
+    def test_split_along_the_outer_planes(self, spec):
+        # read off the Gram matrix, ahead of any plane inside L0
+        lat, split = jacobi_lattice(build(spec))
+        n = lat.rank
+        assert (split.u_idx, split.u1_idx) == ((0, n - 1), (1, n - 2))
+
     def test_det(self, ja2):
         l0, lat, _ = ja2
         assert lat.det() == l0.det()

@@ -13,6 +13,7 @@ from orthlat.lattice import (
     build,
     lattice_from_json,
     lattice_to_json,
+    plane_defect,
 )
 from orthlat.linalg import Mat, Vec
 
@@ -82,14 +83,11 @@ class TestBuilders:
         assert build("U(2)").gram.int_rows() == [[0, 2], [2, 0]]
         assert build("A2(-3)").gram.int_rows() == [[-6, 3], [3, -6]]
 
-    def test_rescale_function(self):
-        from orthlat.lattice import rescale
-
-        lat = rescale(build("U+A2"), -2)
+    def test_rescaled_spec(self):
+        lat = build("U(-2)+A2(-2)")
         assert lat.gram == -2 * build("U+A2").gram
-        assert lat == build("U(-2)+A2(-2)")
-        # block bookkeeping survives, so U-witness shortcuts are dropped
-        assert all(b.scale == -2 for b in lat.blocks)
+        # a rescaled U is not unimodular, so it gives no root witness
+        assert lat.hyperbolic_planes() == []
 
     def test_odd_rank_one_rejected(self):
         with pytest.raises(OddDiagonalError):
@@ -105,6 +103,32 @@ class TestBuilders:
             Lattice(Mat([[1]]))
         with pytest.raises(ValueError):
             Lattice(Mat([[0, 1], [2, 0]]))
+
+
+class TestHyperbolicPlanes:
+    def test_built_lattices_give_their_unscaled_u_blocks(self):
+        assert build("2U+A2").hyperbolic_planes() == [(0, 1), (2, 3)]
+        assert build("A2+U+U(2)+<-2>+U").hyperbolic_planes() == [(2, 3), (7, 8)]
+        assert build("A2+U(-1)+2E8(-1)").hyperbolic_planes() == []
+
+    def test_read_from_the_gram_matrix(self):
+        # 2U+<-2> in the basis order (e, g, e1, f, f1)
+        lat = lattice_from_json({"gram": [[0, 0, 0, 1, 0], [0, -2, 0, 0, 0],
+                                          [0, 0, 0, 0, 1], [1, 0, 0, 0, 0],
+                                          [0, 0, 1, 0, 0]]})
+        assert lat.hyperbolic_planes() == [(0, 3), (2, 4)]
+        assert lat.kneser_check(0).minus2_vector == Vec([1, 0, 0, -1, 0])
+
+    def test_plane_defect(self):
+        rows = build("U+A2+U(2)").gram.int_rows()
+        assert plane_defect(rows, 0, 1) is None
+        assert plane_defect(rows, 1, 0) is None
+        assert plane_defect(rows, 4, 5) == "indices {} do not span a unimodular plane"
+        rows[0][2] = rows[2][0] = 1
+        assert plane_defect(rows, 0, 1) == "plane {} is not an orthogonal summand"
+
+    def test_planes_not_spanned_by_basis_vectors_are_not_found(self, skewed):
+        assert skewed(build("2U+A2"), "a", "b").hyperbolic_planes() == []
 
 
 class TestInvariants:
@@ -266,11 +290,18 @@ class TestEnumeration:
 
 
 class TestKneser:
-    def test_file_lattice_over_budget(self):
-        # no blocks and no -2 on the diagonal: the root search enumerates
-        lat = lattice_from_json(lattice_to_json(build("2U+2E8(-2)+<-6>")))
+    def test_file_lattice_over_budget(self, skewed):
+        # no basis plane and no -2 on the diagonal: the root search enumerates
+        lat = skewed(build("2U+2E8(-2)+<-6>"), "r1", "r2")
+        assert {lat.gram[i, i] for i in range(lat.rank)} == {-4, 0, -6}
         with pytest.raises(TooLargeError):
             lat.kneser_check(2)
+
+    def test_file_lattice_answers_from_its_plane(self):
+        spec = build("2U+2E8(-2)+<-6>")
+        rep = lattice_from_json(lattice_to_json(spec)).kneser_check(2)
+        assert rep.search_box == 0
+        assert rep.minus2_vector == spec.kneser_check(2).minus2_vector
 
     def test_k3_lattices_pass(self):
         for d in (1, 3, 6):
