@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from orthlat.eichler import HyperbolicSplitting
 from orthlat.errors import (
-    NoNormSixVectorError,
     NotOrthogonalError,
     SingularScaleError,
     WrongNormError,
@@ -126,8 +125,6 @@ def _empty(split) -> GroupWord:
 
 def default_norm_six_vector(split: HyperbolicSplitting) -> Vec:
     """e1 + 3 f1 in the second plane, the stock vector of square 6."""
-    if not split.has_u1:
-        raise NoNormSixVectorError("no second hyperbolic plane to take e1 + 3 f1 from")
     return split.e1 + 3 * split.f1
 
 
@@ -188,7 +185,6 @@ def _require_l0(split: HyperbolicSplitting, v: Vec, name: str):
 def heisenberg_commutator(split: HyperbolicSplitting, s, u) -> CommutatorCertificate:
     """[t(e, -s f1), t(e1, u)] == t(e, s u - s (u,u)/2 e1) for u in the
     rational span of the small complement."""
-    split.require_u1()
     lat = split.lattice
     u = Vec(u)
     _require_l0(split, u, "u")
@@ -211,7 +207,6 @@ def triple_product(split: HyperbolicSplitting, s, u, v) -> CommutatorCertificate
     with the third factor written as [t(e,-s f1), t(e1, -u-v)] instead,
     the product picks up an extra t(e, * e1) term unless u + v is
     isotropic."""
-    split.require_u1()
     lat = split.lattice
     u, v = Vec(u), Vec(v)
     _require_l0(split, u, "u")

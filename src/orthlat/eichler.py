@@ -36,45 +36,28 @@ from orthlat.linalg import Mat, Vec, solve_linear
 
 
 class HyperbolicSplitting:
-    """Indices of one or two unimodular hyperbolic planes inside a
-    lattice basis, with the complement(s) they leave."""
+    """Indices of the two unimodular hyperbolic planes U and U1 inside a
+    lattice basis, with the complements L1 = U1 + L0 and L0 they leave."""
 
     __slots__ = ("lattice", "u_idx", "u1_idx", "e", "f", "e1", "f1",
                  "l1_indices", "l0_indices")
 
-    def __init__(self, lattice: Lattice, u_idx: tuple[int, int],
-                 u1_idx: tuple[int, int] | None = None):
+    def __init__(self, lattice: Lattice, u_idx: tuple[int, int], u1_idx: tuple[int, int]):
         self.lattice = lattice
         self.u_idx = tuple(u_idx)
-        self.u1_idx = tuple(u1_idx) if u1_idx is not None else None
+        self.u1_idx = tuple(u1_idx)
         self._check_plane(self.u_idx)
-        self.e, self.f = (lattice.basis_vector(i) for i in self.u_idx)
-        self.e1 = self.f1 = None
-        if self.u1_idx is not None:
-            if set(self.u1_idx) & set(self.u_idx):
-                raise MissingSplittingError(f"planes {self.u_idx} and {self.u1_idx} overlap")
-            self._check_plane(self.u1_idx)
-            self.e1, self.f1 = (lattice.basis_vector(i) for i in self.u1_idx)
+        if set(self.u1_idx) & set(self.u_idx):
+            raise MissingSplittingError(f"planes {self.u_idx} and {self.u1_idx} overlap")
+        self._check_plane(self.u1_idx)
+        self.e, self.f, self.e1, self.f1 = (lattice.basis_vector(i) for i in self.u_idx + self.u1_idx)
         self.l1_indices = tuple(i for i in range(lattice.rank) if i not in self.u_idx)
-        self.l0_indices = tuple(i for i in self.l1_indices if i not in (self.u1_idx or ()))
+        self.l0_indices = tuple(i for i in self.l1_indices if i not in self.u1_idx)
 
     def _check_plane(self, idx):
         defect = plane_defect(self.lattice.gram.int_rows(), *idx)
         if defect:
             raise MissingSplittingError(defect.format(idx))
-
-    @property
-    def has_u1(self) -> bool:
-        return self.u1_idx is not None
-
-    def require_u1(self):
-        if not self.has_u1:
-            raise MissingSplittingError("a second hyperbolic plane is required")
-
-    def in_l1(self, v) -> bool:
-        """Orthogonal to the first plane: G v vanishes at its indices."""
-        gv = self.lattice.gram.apply(v)
-        return all(gv[i] == 0 for i in self.u_idx)
 
 
 def standard_splitting(lattice: Lattice) -> HyperbolicSplitting:
@@ -83,6 +66,8 @@ def standard_splitting(lattice: Lattice) -> HyperbolicSplitting:
     planes = lattice.hyperbolic_planes()
     if not planes:
         raise MissingSplittingError("lattice has no unimodular hyperbolic block")
+    if len(planes) < 2:
+        raise MissingSplittingError("a second hyperbolic plane is required")
     return HyperbolicSplitting(lattice, *planes[:2])
 
 
@@ -100,14 +85,15 @@ def _nearest_quotient(a: int, b: int) -> int:
 
 class _PlaneReducer:
     """Tracks the 2x2 coordinate matrix [[x1, x], [y, -y1]] of a vector
-    under the four plane transvections, recording each atom applied."""
+    under the four plane transvections, recording each atom applied.
+
+    Rows e, f, e1, f1 of G are zero outside their planes, so x, y, x1,
+    y1 (the pairings with f, e, f1, e1) are the vector's own entries at
+    e, f, e1, f1, and the four transvections change nothing else."""
 
     def __init__(self, split: HyperbolicSplitting, v: Vec):
-        split.require_u1()
         self.split = split
-        gv = split.lattice.gram.apply(v)           # pairings with the basis
-        (e, f), (e1, f1) = split.u_idx, split.u1_idx
-        self.x, self.y, self.x1, self.y1 = gv[f], gv[e], gv[f1], gv[e1]
+        self.x, self.y, self.x1, self.y1 = (v[i] for i in split.u_idx + split.u1_idx)
         self.applied: list[TransvectionAtom] = []
 
     # the four generators, with integer multiplicity k
@@ -170,27 +156,27 @@ class _PlaneReducer:
 
 
 def _reduce_into_l1(split: HyperbolicSplitting, v: Vec) -> tuple[list[TransvectionAtom], Vec]:
-    """Atoms (in application order) taking v into the complement of U."""
+    """Atoms (in application order) taking v into the complement of U,
+    and the image: v with its plane entries set to (0, 0, x1, y1)."""
     red = _PlaneReducer(split, v)
     red.run()
-    image = Vec(v)
-    for atom in red.applied:
-        image = atom.act(split.lattice, image)
-    if not split.in_l1(image):
-        raise InternalSolveFailureError("plane reduction failed")
-    return red.applied, image
+    image = list(v)
+    (e, f), (e1, f1) = split.u_idx, split.u1_idx
+    image[e], image[f], image[e1], image[f1] = 0, 0, red.x1, red.y1
+    return red.applied, Vec(image)
 
 
 def so22_reduce(split: HyperbolicSplitting, v) -> tuple[GroupWord, Vec]:
     """Word in the four plane transvections mapping v (supported on
     U + U1) into U1; the image has the same norm."""
-    split.require_u1()
     v = Vec(v)
-    lat = split.lattice
     if any(v[i] for i in split.l0_indices):
         raise UnsupportedCoordinatesError("vector is not supported on the two planes")
     applied, image = _reduce_into_l1(split, v)
-    return GroupWord(lat, tuple(reversed(applied))), image
+    word = GroupWord(split.lattice, tuple(reversed(applied)))
+    if word.apply(v) != image:
+        raise InternalSolveFailureError("plane reduction failed to verify")
+    return word, image
 
 
 # ---------------------------------------------------------------------
@@ -218,7 +204,6 @@ def orbit_invariant(lattice: Lattice, v) -> OrbitInvariant:
 
 def invariant_pair(split: HyperbolicSplitting, u, v) -> tuple[OrbitInvariant, OrbitInvariant]:
     """orbit_invariant of u and of v, one integer pass each."""
-    split.require_u1()
     try:
         return orbit_invariant(split.lattice, u), orbit_invariant(split.lattice, v)
     except NotPrimitiveError:
@@ -279,7 +264,6 @@ def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
 def stabilize_plane(split: HyperbolicSplitting, g: Isometry) -> tuple[GroupWord, Isometry]:
     """tau with eval(tau) * g acting as the identity on U; the second
     return is that product, an isometry supported on the complement."""
-    split.require_u1()
     lat = split.lattice
     if not g.is_integral():
         raise NotIntegralIsometryError("stabilization needs an integral isometry")
@@ -308,7 +292,6 @@ def rewrite_reflection(split: HyperbolicSplitting, r, mirror=None) -> GroupWord:
     L1, where its reflection factors through three transvections times
     the anchor; conjugating back keeps every atom a transvection.
     """
-    split.require_u1()
     lat = split.lattice
     r = Vec(r)
     if lat.norm(r) != -2:
@@ -383,7 +366,6 @@ def root_orbit_census(split: HyperbolicSplitting, box: int) -> CensusReport:
     bucket's first root is its lexicographically first.  Budget and
     errors as for Lattice.enumerate_vectors.
     """
-    split.require_u1()
     lat = split.lattice
     form = discriminant_form(lat)
     rows = lat.gram.int_rows()

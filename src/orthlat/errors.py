@@ -69,10 +69,6 @@ class WrongNormError(OrthlatError):
     code = "wrong-norm"
 
 
-class NoNormSixVectorError(OrthlatError):
-    code = "no-norm-six-vector"
-
-
 class UnsupportedCoordinatesError(OrthlatError):
     code = "unsupported-coordinates"
 

@@ -229,24 +229,7 @@ class TransvectionAtom(_AtomAction):
         }
 
 
-@dataclass(frozen=True)
-class InverseAtom(_AtomAction):
-    atom: "Atom"
-
-    def terms(self, lattice: Lattice) -> list:
-        return self.atom.inverse().terms(lattice)
-
-    def inverse(self) -> "Atom":
-        return self.atom
-
-    def is_integral(self) -> bool:
-        return self.atom.is_integral()
-
-    def to_json(self) -> dict:
-        return {"type": "inverse", "atom": self.atom.to_json()}
-
-
-Atom = ReflectionAtom | TransvectionAtom | InverseAtom
+Atom = ReflectionAtom | TransvectionAtom
 
 
 def atom_from_json(data: dict) -> Atom:
@@ -258,8 +241,6 @@ def atom_from_json(data: dict) -> Atom:
             Vec(parse_scalar(x) for x in data["e"]),
             Vec(parse_scalar(x) for x in data["a"]),
         )
-    if kind == "inverse":
-        return InverseAtom(atom_from_json(data["atom"]))
     raise ValueError(f"unknown atom type {kind!r}")
 
 

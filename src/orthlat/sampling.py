@@ -20,62 +20,60 @@ from orthlat.lattice import Lattice
 from orthlat.linalg import Vec
 
 _DENOMS = (1, 1, 1, 2, 3)
+_BOUND = 3               # entries of random rational vectors
+_INTEGRAL_BOUND = 2      # entries of random integral transvection vectors
 
 
-def rational(rng: Random, bound: int = 4, dens=_DENOMS) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.choice(dens))
+def rational(rng: Random, bound: int = 4) -> Fraction:
+    return Fraction(rng.randint(-bound, bound), rng.choice(_DENOMS))
 
 
-def nonzero_rational(rng: Random, bound: int = 4, dens=_DENOMS) -> Fraction:
+def nonzero_rational(rng: Random, bound: int = 4) -> Fraction:
     while True:
-        x = rational(rng, bound, dens)
+        x = rational(rng, bound)
         if x:
             return x
 
 
-def rational_vector(lat: Lattice, rng: Random, bound: int = 3, dens=_DENOMS) -> Vec:
-    return Vec(rational(rng, bound, dens) for _ in range(lat.rank))
+def rational_vector(lat: Lattice, rng: Random) -> Vec:
+    return Vec(rational(rng, _BOUND) for _ in range(lat.rank))
 
 
-def l1_vector(split: HyperbolicSplitting, rng: Random, bound: int = 3,
-              dens=_DENOMS) -> Vec:
+def l1_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
     """Random rational vector supported away from the first plane."""
     out = [Fraction(0)] * split.lattice.rank
     for i in split.l1_indices:
-        out[i] = rational(rng, bound, dens)
+        out[i] = rational(rng, _BOUND)
     return Vec(out)
 
 
-def l0_vector(split: HyperbolicSplitting, rng: Random, bound: int = 3,
-              dens=_DENOMS) -> Vec:
+def l0_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
     out = [Fraction(0)] * split.lattice.rank
     for i in split.l0_indices:
-        out[i] = rational(rng, bound, dens)
+        out[i] = rational(rng, _BOUND)
     return Vec(out)
 
 
-def integral_l1_vector(split: HyperbolicSplitting, rng: Random, bound: int = 3) -> Vec:
+def integral_l1_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
     out = [0] * split.lattice.rank
     for i in split.l1_indices:
-        out[i] = rng.randint(-bound, bound)
+        out[i] = rng.randint(-_INTEGRAL_BOUND, _INTEGRAL_BOUND)
     return Vec(out)
 
 
-def integral_transvection_atom(split: HyperbolicSplitting, rng: Random,
-                               bound: int = 2) -> TransvectionAtom:
+def integral_transvection_atom(split: HyperbolicSplitting, rng: Random) -> TransvectionAtom:
     base = split.e if rng.random() < 0.5 else split.f
-    return TransvectionAtom(base, integral_l1_vector(split, rng, bound))
+    return TransvectionAtom(base, integral_l1_vector(split, rng))
 
 
-def transvection_word(split: HyperbolicSplitting, rng: Random, length: int,
-                      bound: int = 2) -> GroupWord:
+def transvection_word(split: HyperbolicSplitting, rng: Random, length: int) -> GroupWord:
     """Word of integral transvections based at e or f."""
     return GroupWord(split.lattice, tuple(
-        integral_transvection_atom(split, rng, bound) for _ in range(length)))
+        integral_transvection_atom(split, rng) for _ in range(length)))
 
 
 def mixed_word(split: HyperbolicSplitting, rng: Random, length: int,
-               roots=None, bound: int = 2) -> GroupWord:
+               roots=None) -> GroupWord:
     """Word mixing integral transvections with root reflections; without
     ``roots`` the norm -2 vectors of a small box, enumerated once per
     lattice."""
@@ -89,7 +87,7 @@ def mixed_word(split: HyperbolicSplitting, rng: Random, length: int,
         if roots and rng.random() < 0.4:
             atoms.append(ReflectionAtom(rng.choice(roots)))
         else:
-            atoms.append(integral_transvection_atom(split, rng, bound))
+            atoms.append(integral_transvection_atom(split, rng))
     return GroupWord(lat, tuple(atoms))
 
 
@@ -106,15 +104,14 @@ def isotropic_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
     return nonzero_rational(rng, 3) * word.apply(base)
 
 
-def orthogonal_to(lat: Lattice, rng: Random, e: Vec, bound: int = 3,
-                  anisotropic: bool = False) -> Vec:
+def orthogonal_to(lat: Lattice, rng: Random, e: Vec, anisotropic: bool = False) -> Vec:
     """Random rational vector orthogonal to e (nondegeneracy supplies a
     pairing vector to project along)."""
     h = next(lat.basis_vector(i) for i in range(lat.rank)
              if lat.inner(lat.basis_vector(i), e) != 0)
     he = Fraction(lat.inner(h, e))
     while True:
-        w = rational_vector(lat, rng, bound)
+        w = rational_vector(lat, rng)
         a = w - (Fraction(lat.inner(w, e)) / he) * h
         if not anisotropic or lat.norm(a) != 0:
             return a

@@ -301,6 +301,23 @@ class TestOrbit:
         assert code == 1
         assert data["error"] == "equivalence-fails"
 
+    @pytest.mark.parametrize("spec, detail", [
+        ("U+A2", "a second hyperbolic plane is required"),
+        ("A2", "lattice has no unimodular hyperbolic block"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "census", "--box", "2"],
+        ["orbit", "equiv", "--json", '{"u": ["1","-1","0","0"], "v": ["1","-1","0","0"]}'],
+        ["orbit", "transport", "--json", '{"u": ["1","-1","0","0"], "v": ["1","-1","0","0"]}'],
+        ["orbit", "equiv", "--json", "{not json"],
+        ["orbit", "transport", "--json", '{"u": ["1","-1","0","0"]}'],
+    ], ids=["census", "equiv", "transport", "equiv-malformed", "transport-missing-v"])
+    def test_splitting_checked_before_payload(self, capsys, argv, spec, detail):
+        # a splitting needs two planes, and is built before the payload is read
+        code, data = run_json(capsys, *argv, "--spec", spec)
+        assert code == 1
+        assert data == {"error": "missing-splitting", "detail": detail}
+
 
 class TestJacobiWitness:
     def test_embed_a(self, capsys):

@@ -13,9 +13,8 @@ from orthlat.commutators import (
     triple_product,
     verify_master_identity,
 )
-from orthlat.eichler import HyperbolicSplitting, standard_splitting
+from orthlat.eichler import standard_splitting
 from orthlat.errors import (
-    NoNormSixVectorError,
     SingularScaleError,
     WrongNormError,
     ZeroScaleError,
@@ -104,12 +103,6 @@ class TestP4:
     def test_wrong_norm_guard(self, sp):
         with pytest.raises(WrongNormError):
             certificate_p4(sp, 2 * default_norm_six_vector(sp))
-
-    def test_no_second_plane(self):
-        lat = build("U+A2")
-        split = HyperbolicSplitting(lat, (0, 1))
-        with pytest.raises(NoNormSixVectorError):
-            certificate_p4(split)
 
     def test_target_flags(self, sp):
         cert = certificate_p4(sp)

@@ -13,6 +13,7 @@ from orthlat.discform import class_of, discriminant_form
 from orthlat.eichler import (
     HyperbolicSplitting,
     OrbitInvariant,
+    _reduce_into_l1,
     eichler_equivalent,
     orbit_invariant,
     rewrite_reflection,
@@ -32,6 +33,7 @@ from orthlat.errors import (
 )
 from orthlat import kernels
 from orthlat.isometry import Isometry, TransvectionAtom, membership, reflection, transvection
+from orthlat.jacobi import jacobi_lattice
 from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat, Vec
 from orthlat.sampling import mixed_word, transvection_word
@@ -54,8 +56,21 @@ class TestSplitting:
     def test_requires_plane(self):
         with pytest.raises(MissingSplittingError):
             standard_splitting(build("A2"))
-        with pytest.raises(MissingSplittingError):
-            HyperbolicSplitting(build("U(2)"), (0, 1))
+        with pytest.raises(MissingSplittingError, match="do not span a unimodular plane"):
+            HyperbolicSplitting(build("U(2)+U"), (0, 1), (2, 3))
+        with pytest.raises(MissingSplittingError, match="do not span a unimodular plane"):
+            HyperbolicSplitting(build("U+U(2)"), (0, 1), (2, 3))
+
+    @pytest.mark.parametrize("spec, detail", [
+        ("A2", "lattice has no unimodular hyperbolic block"),
+        ("U(2)+A2", "lattice has no unimodular hyperbolic block"),
+        ("U+A2", "a second hyperbolic plane is required"),
+        ("U+U(2)+A2", "a second hyperbolic plane is required"),
+    ])
+    def test_standard_needs_two_planes(self, spec, detail):
+        with pytest.raises(MissingSplittingError) as got:
+            standard_splitting(build(spec))
+        assert str(got.value) == detail
 
     def test_rejects_overlapping_planes(self):
         lat = build("2U+<-2>")
@@ -63,12 +78,6 @@ class TestSplitting:
             with pytest.raises(MissingSplittingError):
                 HyperbolicSplitting(lat, (0, 1), u1)
         assert HyperbolicSplitting(lat, (2, 3), (1, 0)).l0_indices == (4,)
-
-    def test_single_plane_has_no_u1(self):
-        split = standard_splitting(build("U+A2"))
-        assert not split.has_u1
-        with pytest.raises(MissingSplittingError):
-            split.require_u1()
 
 
 class TestSo22Reduce:
@@ -83,7 +92,7 @@ class TestSo22Reduce:
         v = Vec([1, 0, 0, 0, 0])
         word, image = so22_reduce(split, v)
         assert word.apply(v) == image
-        assert split.in_l1(image)
+        assert lat.inner(image, split.e) == lat.inner(image, split.f) == 0
         # support stays inside the second plane
         assert all(image[i] == 0 for i in range(lat.rank)
                    if i not in split.u1_idx)
@@ -109,9 +118,44 @@ class TestSo22Reduce:
             v = Vec([rng.randint(-9, 9) for _ in range(4)] + [0])
             word, image = so22_reduce(split, v)
             assert word.apply(v) == image
-            assert split.in_l1(image)
+            assert lat.inner(image, split.e) == lat.inner(image, split.f) == 0
             assert lat.norm(image) == lat.norm(v)
             assert word.is_integral()
+
+
+REDUCE_SPLITS = {
+    "2U+A2": lambda: standard_splitting(build("2U+A2")),
+    "2U+<-10>": lambda: standard_splitting(build("2U+<-10>")),
+    "jacobi A2": lambda: jacobi_lattice(build("A2"))[1],
+}
+REDUCE_ENTRIES = {
+    "integral": st.integers(-40, 40),
+    "rational": st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+}
+
+
+class TestReduceIntoL1:
+    """The image read off the plane entries is the image of acting with
+    every atom in turn, and it is orthogonal to U."""
+
+    @staticmethod
+    def replay(split, atoms, v):
+        for atom in atoms:
+            v = atom.act(split.lattice, v)
+        return v
+
+    @pytest.mark.parametrize("kind", sorted(REDUCE_ENTRIES))
+    @pytest.mark.parametrize("name", sorted(REDUCE_SPLITS))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_image_is_the_replay(self, name, kind, data):
+        split = REDUCE_SPLITS[name]()
+        lat = split.lattice
+        v = Vec(data.draw(st.lists(REDUCE_ENTRIES[kind], min_size=lat.rank, max_size=lat.rank)))
+        atoms, image = _reduce_into_l1(split, v)
+        assert image == self.replay(split, atoms, v)
+        assert lat.inner(image, split.e) == lat.inner(image, split.f) == 0
+        assert all(image[i] == v[i] for i in split.l0_indices)
 
 
 class TestEquivalence:

@@ -198,7 +198,7 @@ class TestIdentities:
         lat = build("2U+<-2>")
         split = standard_splitting(lat)
         for a in lat.enumerate_vectors(-2, 2):
-            if not split.in_l1(a):
+            if lat.inner(a, split.e) or lat.inner(a, split.f):
                 continue
             lhs = (transvection(lat, split.f, a)
                    * transvection(lat, split.e, -a)
@@ -361,16 +361,10 @@ class TestGroupWord:
         with pytest.raises(ValueError, match="zero denominator"):
             GroupWord.from_json(build("U"), [{"type": "reflection", "mirror": ["1", "1/0"]}])
 
-    def test_inverse_atom(self):
-        from orthlat.isometry import InverseAtom
-
-        lat = build("2U")
-        split = standard_splitting(lat)
-        t = TransvectionAtom(split.e, split.e1)
-        inv = InverseAtom(t)
-        assert inv.to_isometry(lat) == t.to_isometry(lat).inverse()
-        assert inv.inverse() is t
-        w = GroupWord(lat, (t, inv))
-        assert w.evaluate() == Isometry.identity(lat)
-        again = GroupWord.from_json(lat, w.to_json())
-        assert again.evaluate() == Isometry.identity(lat)
+    @pytest.mark.parametrize("atom", [
+        {"type": "inverse", "atom": {"type": "reflection", "mirror": ["1", "-1", "0", "0"]}},
+        {"type": "rotation"},
+    ])
+    def test_json_unknown_atom_type(self, atom):
+        with pytest.raises(ValueError, match=f"unknown atom type '{atom['type']}'"):
+            GroupWord.from_json(build("2U"), [atom])

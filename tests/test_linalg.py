@@ -213,6 +213,30 @@ class TestCongruence:
                     else:
                         assert d[i, i] != 0
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_raises_exactly_on_singular(self, n, data):
+        """G = B D B^T with B n x r has rank at most r, so most draws are
+        singular, and half of them get a zero diagonal; the elimination
+        raises exactly when det G == 0."""
+        r = data.draw(st.integers(1, n))
+        small = st.integers(-2, 2)
+        b = data.draw(st.lists(st.lists(small, min_size=r, max_size=r), min_size=n, max_size=n))
+        d = data.draw(st.lists(small.filter(bool), min_size=r, max_size=r))
+        rows = [[sum(b[i][k] * d[k] * b[j][k] for k in range(r)) for j in range(n)]
+                for i in range(n)]
+        if data.draw(st.booleans()):  # no diagonal pivot: the hyperbolic step
+            for i in range(n):
+                rows[i][i] = 0
+        g = Mat(rows)
+        if g.det() == 0:
+            with pytest.raises(DegenerateFormError, match="form is degenerate"):
+                congruence_diagonalize(g)
+        else:
+            p, dm = congruence_diagonalize(g)
+            assert p.transpose() @ g @ p == dm
+            assert all((dm[i, j] != 0) == (i == j) for i in range(n) for j in range(n))
+
     def test_signature_invariance(self):
         rng = random.Random(4)
         for _ in range(40):
