@@ -40,7 +40,7 @@ class DiscriminantForm:
     """D(L) with its Q/2Z-valued quadratic form."""
 
     __slots__ = ("lattice", "orders", "exponent", "generators", "_table",
-                 "_gram_rows", "_class_rows", "_elements")
+                 "_class_rows", "_elements")
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
@@ -48,12 +48,11 @@ class DiscriminantForm:
         idx = [i for i in range(lattice.rank) if int(s[i, i]) != 1]
         self.orders = tuple(int(s[i, i]) for i in idx)
         self.exponent = n = lcm(*self.orders)
-        self._gram_rows = lattice.gram.int_rows()
         urows, vrows = u.int_rows(), v.int_rows()
         self._class_rows = [urows[i] for i in idx]
         cols = [[row[i] for row in vrows] for i in idx]
         self.generators = tuple(Vec(c) / d for c, d in zip(cols, self.orders))
-        gv = [[sum(map(mul, row, c)) for row in self._gram_rows] for c in cols]
+        gv = [lattice.gram_apply(c)._ents for c in cols]
         pairs = [[divmod(n * sum(map(mul, c, g)), si * sj) for g, sj in zip(gv, self.orders)]
                  for c, si in zip(cols, self.orders)]
         if any(r for row in pairs for _, r in row):
@@ -97,7 +96,7 @@ class DiscriminantForm:
 
     def class_of_dual(self, x) -> "DiscElement":
         """Class of a vector of the dual lattice given in L-coordinates."""
-        gx = self.lattice.gram.apply(x)
+        gx = self.lattice.gram_apply(x)
         if not gx.is_integral():
             raise ValueError("vector is not in the dual lattice")
         return DiscElement(self, self._coords(gx))
@@ -112,9 +111,7 @@ class DiscriminantForm:
         ents = v._ents
         if v._den != 1 or gcd(*ents) != 1:
             raise NotPrimitiveError("class_of needs a primitive vector")
-        if len(ents) != self.lattice.rank:
-            raise ValueError("shape mismatch")
-        g = [sum(map(mul, row, ents)) for row in self._gram_rows]
+        g = self.lattice.gram_apply(v)._ents
         d, coords = self.divisor_and_class(g)
         return sum(map(mul, ents, g)), d, self._element(coords)
 

@@ -13,7 +13,6 @@ of roots by orbit invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from orthlat.discform import DiscElement, discriminant_form
 from orthlat.errors import (
@@ -75,11 +74,14 @@ def standard_splitting(lattice: Lattice) -> HyperbolicSplitting:
 # SO(2,2) reduction: Euclidean elimination of the U-coordinates
 
 def _nearest_quotient(a: int, b: int) -> int:
-    """q minimizing |a - q b|, ties toward the smaller quotient."""
+    """q minimizing |a - q b|, ties toward the smaller quotient.
+
+    The floor remainder r = a - (a // b) b has the sign of b, so the
+    only other candidate is q + 1, whose remainder r - b is the nearer
+    one exactly when 2 |r| > |b|; either way |a - q b| <= |b| / 2."""
     q = a // b
-    r = a - q * b
-    if 2 * abs(r) > abs(b):
-        q += 1 if b > 0 else -1
+    if 2 * abs(a - q * b) > abs(b):
+        q += 1
     return q
 
 
@@ -89,11 +91,23 @@ class _PlaneReducer:
 
     Rows e, f, e1, f1 of G are zero outside their planes, so x, y, x1,
     y1 (the pairings with f, e, f1, e1) are the vector's own entries at
-    e, f, e1, f1, and the four transvections change nothing else."""
+    e, f, e1, f1, and the four transvections change nothing else.
+
+    ``run`` is Euclid on the first column (x1, y) and the first row
+    (x1, x).  x1 changes only when the matrix is rotated, and each pass
+    of the loop but the last rotates once: at the start when x1 == 0,
+    giving |x1| <= max(|x|, |y|), and otherwise after a nearest-quotient
+    step has left |y| or |x| at most |x1| / 2, which becomes the new x1.
+    So with B the largest bit-length of the four entries (numerators
+    over the vector's denominator, which scales every step alike), x1
+    halves at most B - 1 times after the first rotation while staying
+    nonzero, and the loop makes at most B + 1 passes."""
 
     def __init__(self, split: HyperbolicSplitting, v: Vec):
         self.split = split
-        self.x, self.y, self.x1, self.y1 = (v[i] for i in split.u_idx + split.u1_idx)
+        idx = split.u_idx + split.u1_idx
+        self.x, self.y, self.x1, self.y1 = (v[i] for i in idx)
+        self.max_passes = max(abs(v._ents[i]) for i in idx).bit_length() + 1
         self.applied: list[TransvectionAtom] = []
 
     # the four generators, with integer multiplicity k
@@ -133,7 +147,12 @@ class _PlaneReducer:
         self.right_col1(1)
 
     def run(self):
+        passes = 0
         while self.x != 0 or self.y != 0:
+            passes += 1
+            if passes > self.max_passes:
+                raise InternalSolveFailureError(
+                    f"plane reduction exceeded its bound of {self.max_passes} passes")
             if self.x1 == 0:
                 if self.y != 0:
                     self.rotate_rows()
@@ -237,7 +256,7 @@ def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
     av, v1 = _reduce_into_l1(split, v)
 
     def pair_to_d(x: Vec) -> Vec:
-        gx = lat.gram.apply(x)
+        gx = lat.gram_apply(x)
         sol = solve_linear(Mat([[gx[i] for i in split.l1_indices]]), [d])
         if sol is None:
             raise InternalSolveFailureError("no vector pairing to the divisor")
@@ -368,10 +387,9 @@ def root_orbit_census(split: HyperbolicSplitting, box: int) -> CensusReport:
     """
     lat = split.lattice
     form = discriminant_form(lat)
-    rows = lat.gram.int_rows()
     buckets: dict[tuple, list] = {}            # (divisor, class) -> [first root, count]
     for v, count in lat.half_space_vectors(-2, box, tally=True):
-        key = form.divisor_and_class([sum(map(mul, row, v)) for row in rows])
+        key = form.divisor_and_class(lat.gram_apply(Vec._raw(v))._ents)
         bucket = buckets.get(key)
         if bucket is None:
             buckets[key] = [v, count]

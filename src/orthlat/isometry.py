@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt, lcm, prod
 
 from orthlat import discform
@@ -105,7 +104,40 @@ def terms_matrix(lattice: Lattice, terms) -> Mat:
 
 def rank_update(lattice: Lattice, terms) -> Mat:
     """Matrix of v -> v + sum c (z, v) x over the terms (c, x, z)."""
-    return terms_matrix(lattice, [(c, Vec(x), lattice.gram.apply(z)) for c, x, z in terms])
+    return terms_matrix(lattice, [(c, Vec(x), lattice.gram_apply(z)) for c, x, z in terms])
+
+
+def _left_update(terms, rows: list, den: int) -> tuple[list, int]:
+    """(I + sum c x (G z)^T) M for M = rows / den (integer rows) and terms
+    given as (c, x, G z): each row (G z)^T M is summed over the nonzero
+    entries of G z and added to the rows where x is nonzero, all over
+    one denominator, and the result is normalized once."""
+    parts = [(c.numerator, x._ents, gz._ents, c.denominator * x._den * gz._den)
+             for c, x, gz in terms]
+    d = lcm(*(dt for *_, dt in parts))
+    updates = []
+    for cn, xs, gz, dt in parts:
+        if cn:
+            r = None
+            for i, g in enumerate(gz):
+                if g:
+                    r = ([g * b for b in rows[i]] if r is None
+                         else [a + g * b for a, b in zip(r, rows[i])])
+            if r is not None:
+                updates.append((cn * (d // dt), xs, r))
+    out = [[d * a for a in row] for row in rows] if d != 1 else list(rows)
+    for k, xs, r in updates:
+        for i, xi in enumerate(xs):
+            if xi:
+                kx = k * xi
+                out[i] = [a + kx * b for a, b in zip(out[i], r)]
+    den *= d
+    if den != 1:
+        common = gcd(den, *(a for row in out for a in row))
+        if common != 1:
+            out = [[a // common for a in row] for row in out]
+            den //= common
+    return out, den
 
 
 def apply_terms(lattice: Lattice, terms, v) -> Vec:
@@ -135,7 +167,7 @@ def apply_terms(lattice: Lattice, terms, v) -> Vec:
 def _reflection_terms(lattice: Lattice, a) -> list:
     """The validated term (c, a, G a) of s_a, with (a, a) read off G a."""
     a = Vec(a)
-    ga = lattice.gram.apply(a)
+    ga = lattice.gram_apply(a)
     aa = ga.dot(a)
     if aa == 0:
         raise IsotropicMirrorError("mirror vector is isotropic")
@@ -145,12 +177,12 @@ def _reflection_terms(lattice: Lattice, a) -> list:
 def _transvection_terms(lattice: Lattice, e, a) -> list:
     """The validated terms (c, x, G z) of t(e, a), read off G e and G a."""
     e, a = Vec(e), Vec(a)
-    ge = lattice.gram.apply(e)
+    ge = lattice.gram_apply(e)
     if ge.dot(e) != 0:
         raise NotIsotropicError("base vector must be isotropic")
     if ge.dot(a) != 0:
         raise NotOrthogonalError("(e, a) must vanish")
-    ga = lattice.gram.apply(a)
+    ga = lattice.gram_apply(a)
     half_aa = as_scalar(Fraction(ga.dot(a)) / 2)
     return [(-1, e, ga), (1, a, ge), (-half_aa, e, ge)]
 
@@ -258,8 +290,20 @@ class GroupWord:
         return len(self.atoms)
 
     def evaluate(self) -> Isometry:
-        isos = [a.to_isometry(self.lattice) for a in self.atoms]
-        return reduce(Isometry.__mul__, isos) if isos else Isometry.identity(self.lattice)
+        """The product g1 g2 ... gk: the matrix of gk from its terms, then
+        each atom to its left as a rank update of the running matrix."""
+        lat = self.lattice
+        if not self.atoms:
+            return Isometry.identity(lat)
+        *rest, last = self.atoms
+        m = terms_matrix(lat, last._cached_terms(lat))
+        if not rest:
+            return Isometry._trusted(lat, m)
+        n, ents = m.n, m._ents
+        rows, den = [list(ents[i * n:(i + 1) * n]) for i in range(n)], m._den
+        for atom in reversed(rest):
+            rows, den = _left_update(atom._cached_terms(lat), rows, den)
+        return Isometry._trusted(lat, Mat._raw(n, n, [a for row in rows for a in row], den))
 
     def inverse(self) -> "GroupWord":
         return GroupWord(self.lattice, tuple(a.inverse() for a in reversed(self.atoms)))

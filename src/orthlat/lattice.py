@@ -55,7 +55,7 @@ def plane_defect(rows, i: int, j: int) -> str | None:
 class Lattice:
     """Even lattice with immutable Gram matrix and cached invariants."""
 
-    __slots__ = ("gram", "rank", "labels", "_cache")
+    __slots__ = ("gram", "rank", "labels", "_rows", "_cache")
 
     def __init__(self, gram: Mat, labels=None):
         if not gram.is_integral():
@@ -69,6 +69,9 @@ class Lattice:
             raise DegenerateFormError("Gram matrix is singular")
         self.gram = gram
         self.rank = gram.n
+        # the nonzero entries (j, G_ij) of each row, for gram_apply
+        self._rows = tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                           for row in gram.int_rows())
         if labels is None:
             labels = tuple(f"b{i}" for i in range(gram.n))
         self.labels = tuple(labels)
@@ -85,9 +88,24 @@ class Lattice:
         return f"Lattice(rank={self.rank}, det={self.det()})"
 
     # -- basic bilinear data ------------------------------------------
+    def gram_apply(self, v) -> Vec:
+        """G v, summed over the nonzero entries of each row of G: the one
+        Gram product on vectors.  A wrong length raises ValueError."""
+        v = Vec(v)
+        w = v._ents
+        if len(w) != self.rank:
+            raise ValueError("shape mismatch")
+        out = []
+        for row in self._rows:
+            acc = 0
+            for j, x in row:
+                acc += x * w[j]
+            out.append(acc)
+        return Vec._raw(out, v._den)
+
     def inner(self, u, v):
         """Bilinear form (u, v) of two coordinate vectors."""
-        return self.gram.apply(u).dot(v)
+        return self.gram_apply(u).dot(v)
 
     def norm(self, v):
         return self.inner(v, v)
@@ -134,11 +152,14 @@ class Lattice:
 
     # -- divisors and primitivity -------------------------------------
     def divisor(self, v) -> int:
-        """Positive generator of the ideal of inner products (v, L)."""
+        """Positive generator of the ideal of inner products (v, L) of a
+        nonzero lattice vector; a non-integral v raises NotIntegralError."""
         v = Vec(v)
         if v.is_zero():
             raise ZeroVectorError("divisor of the zero vector")
-        return self.gram.apply(v).content()
+        if not v.is_integral():
+            raise NotIntegralError("divisor of a non-integral vector")
+        return self.gram_apply(v).content()
 
     def is_primitive(self, v) -> bool:
         """Whether v is a lattice vector (integral) with content 1."""

@@ -50,8 +50,11 @@ def parse_scalar(s) -> Scalar:
 
 
 def _normalize(ents, den):
-    """Numerators and positive denominator divided by their common gcd."""
+    """Numerators and positive denominator divided by their common gcd
+    (none to take over the denominator 1)."""
     ents = tuple(ents)
+    if den == 1:
+        return ents, 1
     g = gcd(den, *ents)
     return (ents, den) if g == 1 else (tuple(e // g for e in ents), den // g)
 

@@ -106,12 +106,13 @@ def isotropic_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
 
 def orthogonal_to(lat: Lattice, rng: Random, e: Vec, anisotropic: bool = False) -> Vec:
     """Random rational vector orthogonal to e (nondegeneracy supplies a
-    pairing vector to project along)."""
-    h = next(lat.basis_vector(i) for i in range(lat.rank)
-             if lat.inner(lat.basis_vector(i), e) != 0)
-    he = Fraction(lat.inner(h, e))
+    pairing vector to project along): the first basis vector h with
+    (h, e) != 0, read off G e, which also gives every (w, e) = (G e).w."""
+    ge = lat.gram_apply(e)
+    i = next(i for i, x in enumerate(ge) if x)
+    h, he = lat.basis_vector(i), Fraction(ge[i])
     while True:
         w = rational_vector(lat, rng)
-        a = w - (Fraction(lat.inner(w, e)) / he) * h
+        a = w - (Fraction(ge.dot(w)) / he) * h
         if not anisotropic or lat.norm(a) != 0:
             return a

@@ -277,6 +277,18 @@ class TestOrbit:
         assert data["verified"] is True
         assert all(atom["type"] == "transvection" for atom in data["witness"])
 
+    @pytest.mark.parametrize("n", [10 ** 5, int("1234567890" * 10)])
+    def test_transport_adversarial_plane_entries(self, capsys, n):
+        """Plane entries (-n, 2n - 1) once drove the reducer's Euclid one
+        step at a time, about 8 n atoms; it is logarithmic in n."""
+        pair = {"u": [str(x) for x in (0, -n, 2 * n - 1, 1, 0)],
+                "v": [str(x) for x in (0, 0, -1, -(2 * n - 1), 0)]}
+        code, data = run_json(capsys, "orbit", "transport", "--spec", "2U+<-2>",
+                              "--json", json.dumps(pair))
+        assert code == 0
+        assert data["verified"] is True
+        assert data["atoms"] == 12
+
     @pytest.mark.parametrize("cmd", ["equiv", "transport"])
     def test_rational_vector_not_primitive(self, capsys, cmd):
         code, data = run_json(capsys, "orbit", cmd, "--spec", "2U+<-2>",

@@ -13,6 +13,8 @@ from orthlat.discform import class_of, discriminant_form
 from orthlat.eichler import (
     HyperbolicSplitting,
     OrbitInvariant,
+    _nearest_quotient,
+    _PlaneReducer,
     _reduce_into_l1,
     eichler_equivalent,
     orbit_invariant,
@@ -25,13 +27,14 @@ from orthlat.eichler import (
 )
 from orthlat.errors import (
     EquivalenceFailsError,
+    InternalSolveFailureError,
     MissingSplittingError,
     NotPrimitiveError,
     NotRootError,
     TooLargeError,
     UnsupportedCoordinatesError,
 )
-from orthlat import kernels
+from orthlat import eichler, kernels
 from orthlat.isometry import Isometry, TransvectionAtom, membership, reflection, transvection
 from orthlat.jacobi import jacobi_lattice
 from orthlat.lattice import Lattice, build
@@ -121,6 +124,74 @@ class TestSo22Reduce:
             assert lat.inner(image, split.e) == lat.inner(image, split.f) == 0
             assert lat.norm(image) == lat.norm(v)
             assert word.is_integral()
+
+
+class TestNearestQuotient:
+    """The q minimizing |a - q b| (ties to the smaller q), against a
+    brute-force argmin over every q with |q| <= |a| + 1."""
+
+    @staticmethod
+    def brute(a, b):
+        return min(range(-abs(a) - 1, abs(a) + 2), key=lambda q: (abs(a - q * b), q))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(a=st.integers(-300, 300), b=st.integers(-60, 60).filter(bool))
+    def test_matches_brute_force(self, a, b):
+        q = _nearest_quotient(a, b)
+        assert q == self.brute(a, b)
+        assert 2 * abs(a - q * b) <= abs(b)
+
+    @pytest.mark.parametrize("a, b, q", [
+        (3, 2, 1), (-3, 2, -2), (3, -2, -2), (-3, -2, 1),     # ties: smaller q
+        (5, 2, 2), (5, -2, -3), (-5, 2, -3), (-5, -2, 2),
+    ])
+    def test_ties_and_signs(self, a, b, q):
+        assert _nearest_quotient(a, b) == q == self.brute(a, b)
+
+    def test_negative_divisor_far_from_floor(self):
+        # floor quotient -3 leaves -243,261; the misdirected step gave -4
+        q = _nearest_quotient(486816, -243359)
+        assert (q, 486816 - q * -243359) == (-2, 98)
+
+
+def adversarial_pair(n):
+    """u, v on 2U+<-2> that took about 8 n reducer atoms with a quotient
+    stepping the wrong way for negative divisors."""
+    return [0, -n, 2 * n - 1, 1, 0], [0, 0, -1, -(2 * n - 1), 0]
+
+
+class TestReducerBound:
+    def test_never_reached_on_random_coordinates(self, l5):
+        lat, split = l5
+        rng = random.Random(2026)
+        for _ in range(200):
+            bits = rng.randint(1, 200)
+            ents = [rng.choice((0, 1, 1, 1)) * rng.randint(-2 ** bits, 2 ** bits)
+                    for _ in range(4)]
+            if rng.random() < 0.3:
+                v = Vec([Fraction(x, rng.randint(1, 2 ** bits)) for x in ents] + [0])
+            else:
+                v = Vec(ents + [0])
+            red = _PlaneReducer(split, v)
+            red.run()
+            assert red.x == red.y == 0
+            # a pass applies at most two quotient steps and one rotation
+            assert len(red.applied) <= 5 * red.max_passes
+
+    def test_old_quotient_rule_trips_the_bound(self, l5, monkeypatch):
+        """The bound is a working self-check: with the misdirected step
+        the adversarial pair needs linearly many passes and raises."""
+        def misdirected(a, b):
+            q = a // b
+            if 2 * abs(a - q * b) > abs(b):
+                q += 1 if b > 0 else -1
+            return q
+
+        _, split = l5
+        monkeypatch.setattr(eichler, "_nearest_quotient", misdirected)
+        u, v = adversarial_pair(10 ** 4)
+        with pytest.raises(InternalSolveFailureError, match="exceeded its bound"):
+            transport_witness(split, u, v)
 
 
 REDUCE_SPLITS = {

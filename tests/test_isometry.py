@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthlat.errors import (
     IsotropicMirrorError,
@@ -23,13 +25,17 @@ from orthlat.isometry import (
     transvection,
 )
 from orthlat.eichler import standard_splitting
+from orthlat.jacobi import jacobi_lattice
 from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat, Vec
 from orthlat.sampling import (
     integral_isometry,
     isotropic_vector,
     mixed_word,
+    nonzero_rational,
     orthogonal_to,
+    rational_vector,
+    transvection_word,
 )
 
 
@@ -368,3 +374,43 @@ class TestGroupWord:
     def test_json_unknown_atom_type(self, atom):
         with pytest.raises(ValueError, match=f"unknown atom type '{atom['type']}'"):
             GroupWord.from_json(build("2U"), [atom])
+
+
+EVALUATE_SPLITS = {
+    "2U+A2": lambda: standard_splitting(build("2U+A2")),
+    "2U+<-10>": lambda: standard_splitting(build("2U+<-10>")),
+    "jacobi A2": lambda: jacobi_lattice(build("A2"))[1],
+    "2U+2E8(-1)+<-2>": lambda: standard_splitting(build("2U+2E8(-1)+<-2>")),
+}
+
+
+def random_rational_atom(split, rng):
+    """A rational reflection, or a rational transvection t(e, a) with e a
+    rescaled image of e or f under an integral word (no enumeration, so
+    it works at rank 21)."""
+    lat = split.lattice
+    if rng.random() < 0.5:
+        while True:
+            m = rational_vector(lat, rng)
+            if lat.norm(m) != 0:
+                return ReflectionAtom(m)
+    base = split.e if rng.random() < 0.5 else split.f
+    e = nonzero_rational(rng, 3) * transvection_word(split, rng, rng.randint(0, 3)).apply(base)
+    return TransvectionAtom(e, orthogonal_to(lat, rng, e))
+
+
+class TestEvaluateByRankUpdates:
+    """GroupWord.evaluate folds atoms in as rank updates; the oracle is
+    the dense product of the atoms' own matrices, kept here only."""
+
+    @pytest.mark.parametrize("name", sorted(EVALUATE_SPLITS))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32), length=st.integers(0, 12))
+    def test_matches_dense_fold(self, name, seed, length):
+        split = EVALUATE_SPLITS[name]()
+        lat = split.lattice
+        rng = random.Random(seed)
+        atoms = [random_rational_atom(split, rng) for _ in range(length)]
+        dense = reduce(Isometry.__mul__, [a.to_isometry(lat) for a in atoms],
+                       Isometry.identity(lat))
+        assert GroupWord(lat, atoms).evaluate().mat == dense.mat

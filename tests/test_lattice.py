@@ -6,7 +6,13 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from orthlat import kernels
-from orthlat.errors import OddDiagonalError, SpecParseError, TooLargeError, ZeroVectorError
+from orthlat.errors import (
+    NotIntegralError,
+    OddDiagonalError,
+    SpecParseError,
+    TooLargeError,
+    ZeroVectorError,
+)
 from orthlat.lattice import (
     ENUM_STEP_BUDGET,
     Lattice,
@@ -214,6 +220,30 @@ class TestDivisor:
         lat = build("2U+<-4>")
         for v in lat.enumerate_vectors(-2, 2):
             assert abs(lat.det()) % lat.divisor(v) == 0
+
+    def test_non_integral_vector(self):
+        with pytest.raises(NotIntegralError, match="non-integral"):
+            build("2U+<-2>").divisor([Fraction(1, 2), 0, 0, 0, 0])
+
+
+GRAM_APPLY_SPECS = ("2U+A2", "2U+<-10>", "2U+2E8(-1)+<-2>", "U(2)+A2(-3)+<4>")
+RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+class TestGramApply:
+    """G v over the sparse rows of G against the dense Mat.apply."""
+
+    @PROPERTY
+    @given(spec=st.sampled_from(GRAM_APPLY_SPECS), data=st.data())
+    def test_matches_dense_product(self, spec, data):
+        lat = build(spec)
+        v = data.draw(st.lists(RATIONALS, min_size=lat.rank, max_size=lat.rank))
+        assert lat.gram_apply(v) == lat.gram.apply(v)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_wrong_length(self, n):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            build("2U+<-2>").gram_apply([1] * n)
 
 
 class TestEnumeration:
