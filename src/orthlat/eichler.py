@@ -257,11 +257,16 @@ def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
 
     def pair_to_d(x: Vec) -> Vec:
         gx = lat.gram_apply(x)
-        sol = solve_linear(Mat([[gx[i] for i in split.l1_indices]]), [d])
+        if not gx.is_integral():
+            raise InternalSolveFailureError("G x is not integral")
+        row = [gx._ents[i] for i in split.l1_indices]
+        sol = solve_linear(Mat._raw(1, len(row), row, 1), [d])
         if sol is None:
             raise InternalSolveFailureError("no vector pairing to the divisor")
-        coords = dict(zip(split.l1_indices, sol))
-        return Vec(coords.get(i, 0) for i in range(lat.rank))
+        out = [0] * lat.rank
+        for i, c in zip(split.l1_indices, sol._ents):
+            out[i] = c
+        return Vec._raw(out)
 
     up = pair_to_d(u1)
     vp = pair_to_d(v1)

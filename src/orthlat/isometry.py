@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from orthlat import discform
 from orthlat.errors import (
@@ -142,25 +143,32 @@ def _left_update(terms, rows: list, den: int) -> tuple[list, int]:
 
 def apply_terms(lattice: Lattice, terms, v) -> Vec:
     """terms_matrix(lattice, terms).apply(v) without building the
-    matrix, for terms given as (c, x, G z): each (z, v) is the one dot
-    product (G z).v, and v + sum c (z, v) x is accumulated as integer
-    numerators over one denominator."""
+    matrix, for terms given as (c, x, G z): each (z, v) is one integer
+    dot product of the numerators of G z and v, and v + sum c (z, v) x
+    is accumulated as integer numerators over one denominator, with no
+    gcd taken while every denominator is 1."""
     v = Vec(v)
-    if len(v) != lattice.rank:
+    w, vd = v._ents, v._den
+    if len(w) != lattice.rank:
         raise ValueError("shape mismatch")
-    out, den = list(v._ents), v._den
+    out, den = list(w), vd
     for c, x, gz in terms:
-        k = c * gz.dot(v)
-        if k:
-            kd = k.denominator * x._den
-            d = lcm(den, kd)
-            if d != den:
-                out = [a * (d // den) for a in out]
-                den = d
-            k = k.numerator * (d // kd)
+        s = sum(map(mul, gz._ents, w))
+        if s:
+            # c (z, v) x is kn / kd times the numerators of x
+            kn, kd = c.numerator * s, c.denominator * gz._den * vd * x._den
+            if kd != 1:
+                g = gcd(kn, kd)
+                kn, kd = kn // g, kd // g
+            if kd != den:
+                d = lcm(den, kd)
+                if d != den:
+                    out = [a * (d // den) for a in out]
+                    den = d
+                kn *= d // kd
             for i, xi in enumerate(x._ents):
                 if xi:
-                    out[i] += k * xi
+                    out[i] += kn * xi
     return Vec._raw(out, den)
 
 
@@ -175,7 +183,9 @@ def _reflection_terms(lattice: Lattice, a) -> list:
 
 
 def _transvection_terms(lattice: Lattice, e, a) -> list:
-    """The validated terms (c, x, G z) of t(e, a), read off G e and G a."""
+    """The validated terms (1, e, G z) and (1, a, G e) of t(e, a), where
+    z = -a - ((a, a)/2) e.  G z is one integer pass over the numerators
+    of G a and G e, over one denominator."""
     e, a = Vec(e), Vec(a)
     ge = lattice.gram_apply(e)
     if ge.dot(e) != 0:
@@ -183,8 +193,15 @@ def _transvection_terms(lattice: Lattice, e, a) -> list:
     if ge.dot(a) != 0:
         raise NotOrthogonalError("(e, a) must vanish")
     ga = lattice.gram_apply(a)
-    half_aa = as_scalar(Fraction(ga.dot(a)) / 2)
-    return [(-1, e, ga), (1, a, ge), (-half_aa, e, ge)]
+    # (a, a)/2 = p/q in lowest terms
+    p, q = sum(map(mul, ga._ents, a._ents)), 2 * ga._den * a._den
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    # G z = -G a - (p/q) G e over the denominator ga._den * q * ge._den
+    ka, ke = q * ge._den, p * ga._den
+    gz = Vec._raw([-x * ka - y * ke for x, y in zip(ga._ents, ge._ents)],
+                  ga._den * q * ge._den)
+    return [(1, e, gz), (1, a, ge)]
 
 
 def reflection(lattice: Lattice, a) -> Isometry:

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import mul
 
 from orthlat import kernels
-from orthlat.errors import DegenerateFormError
+from orthlat.errors import DegenerateFormError, InternalSolveFailureError
 
 Scalar = int | Fraction
 
@@ -419,16 +419,24 @@ def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-    return Mat(u), Mat(a), Mat(v)
+    return (Mat._raw(n, n, [x for r in u for x in r], 1),
+            Mat._raw(n, cols, [x for r in a for x in r], 1),
+            Mat._raw(cols, cols, [x for r in v for x in r], 1))
 
 
 def solve_linear(a: Mat, b) -> Vec | None:
-    """An integer solution x of A x = b, or None when none exists."""
+    """An integer solution x of A x = b, or None when none exists (also
+    when some entry of b is not an integer, since A x is integral).
+
+    Entries of b are exact scalars; anything else raises TypeError.  The
+    solution is checked exactly against A x == b before it is returned."""
     if not a.is_integral():
         raise ValueError("solve_linear needs an integer matrix")
-    b = [int(x) for x in b]
+    b = Vec(b)
     if len(b) != a.n:
         raise ValueError("shape mismatch")
+    if not b.is_integral():
+        return None
     u, s, v = smith_normal_form(a)
     y = [0] * a.m
     for i, ci in enumerate(u.apply(b)):
@@ -440,7 +448,10 @@ def solve_linear(a: Mat, b) -> Vec | None:
             if ci % d:
                 return None
             y[i] = ci // d
-    return v.apply(y)
+    x = v.apply(Vec._raw(y))
+    if a.apply(x) != b:
+        raise InternalSolveFailureError("solution does not satisfy A x == b")
+    return x
 
 
 def congruence_diagonalize(g: Mat) -> tuple[Mat, Mat]:

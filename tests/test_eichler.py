@@ -280,6 +280,20 @@ class TestTransport:
             count += 1
         assert count >= 10
 
+    def test_rational_image_refused_before_solving(self, l5, monkeypatch):
+        # pair_to_d builds its row from the numerators of G x, so a G x
+        # that is not integral must be refused, not solved
+        _, split = l5
+        reduce = eichler._reduce_into_l1
+
+        def halved(s, v):
+            atoms, image = reduce(s, v)
+            return atoms, image / 2
+
+        monkeypatch.setattr(eichler, "_reduce_into_l1", halved)
+        with pytest.raises(InternalSolveFailureError, match="G x is not integral"):
+            transport_witness(split, [1, 0, 0, 0, 0], [0, 0, 1, 0, 0])
+
     def test_atoms_are_stable_plus(self, l5):
         lat, split = l5
         word = transport_witness(split, Vec([1, 0, 0, 0, 0]), Vec([0, 0, 1, 0, 0]))
@@ -688,3 +702,42 @@ def test_transport_witnesses_pinned(d):
     words = [transport_witness(split, u, v) for u, v in pinned_pairs(split.lattice, d)]
     text = json.dumps([w.to_json() for w in words], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == TRANSPORT_DIGESTS[d]
+
+
+K3_SPLIT = standard_splitting(build("2U+2E8(-1)+<-2>"))
+
+
+def k3_pairs(seed, count=6, length=4):
+    """Seeded pairs on the rank-21 K3 lattice 2U+2E8(-1)+<-2>: for the
+    root e - f and for the generator h of <-2> (divisor 2), pairs (u, base)
+    and (u, v) with u, v images of the base under seeded integral
+    transvection words."""
+    split, rng = K3_SPLIT, random.Random(seed)
+    h = split.lattice.basis_vector(split.lattice.rank - 1)
+    pairs = []
+    for base in (split.e - split.f, h):
+        for _ in range(count):
+            u = transvection_word(split, rng, length).apply(base)
+            v = transvection_word(split, rng, length).apply(base)
+            pairs += [(u, base), (u, v)]
+    return pairs
+
+
+# sha256 of json.dumps([w.to_json() for w in words], sort_keys=True) for
+# the 24 witnesses of k3_pairs(seed); pair_to_d solves a 1 x 19 row here
+K3_TRANSPORT_DIGESTS = {
+    1: "599c407b05d80ca07881f2664d8727c5d3797c61c08f39c8ac999178e6c56101",
+    2: "1c1a5bee7c4d268ec064bf8ac5991f86d7322892f84f4ac42debd1c45014bc17",
+    3: "a9943d4e1ddb60101ed1459f5122bd1f1cee88f07d5db6ae725c05cbf66ca244",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(K3_TRANSPORT_DIGESTS))
+def test_k3_transport_witnesses_pinned(seed):
+    words = []
+    for u, v in k3_pairs(seed):
+        word = transport_witness(K3_SPLIT, u, v)
+        assert word.apply(u) == v and word.is_integral()
+        words.append(word)
+    text = json.dumps([w.to_json() for w in words], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == K3_TRANSPORT_DIGESTS[seed]

@@ -414,3 +414,48 @@ class TestEvaluateByRankUpdates:
         dense = reduce(Isometry.__mul__, [a.to_isometry(lat) for a in atoms],
                        Isometry.identity(lat))
         assert GroupWord(lat, atoms).evaluate().mat == dense.mat
+
+
+def dense_transvection(lat, e, a) -> Mat:
+    """I - e (G a)^T + a (G e)^T - ((a, a)/2) e (G e)^T, the three-term
+    form, written out entry by entry."""
+    ga, ge = lat.gram.apply(a), lat.gram.apply(e)
+    half_aa = Fraction(lat.norm(a)) / 2
+    n = lat.rank
+    return Mat([[(1 if i == j else 0) - e[i] * ga[j] + a[i] * ge[j] - half_aa * e[i] * ge[j]
+                 for j in range(n)] for i in range(n)])
+
+
+class TestTwoTermTransvection:
+    """t(e, a) is built from two rank-one terms, e (G z)^T and a (G e)^T
+    with z = -a - ((a, a)/2) e; the oracle is the dense three-term form,
+    kept here only."""
+
+    @pytest.mark.parametrize("name", sorted(EVALUATE_SPLITS))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32))
+    def test_matches_three_term_form(self, name, seed):
+        split = EVALUATE_SPLITS[name]()
+        lat = split.lattice
+        rng = random.Random(seed)
+        base = split.e if rng.random() < 0.5 else split.f
+        e = nonzero_rational(rng, 3) * transvection_word(split, rng, rng.randint(0, 3)).apply(base)
+        a = orthogonal_to(lat, rng, e)
+        dense = dense_transvection(lat, e, a)
+        assert transvection(lat, e, a).mat == dense
+        v = rational_vector(lat, rng)
+        assert TransvectionAtom(e, a).act(lat, v) == dense.apply(v)
+
+    @pytest.mark.parametrize("name", sorted(EVALUATE_SPLITS))
+    def test_errors_in_order(self, name):
+        split = EVALUATE_SPLITS[name]()
+        lat = split.lattice
+        h = split.e + split.f                      # (h, h) = 2, (h, e) = 1
+        half = Fraction(1, 2) * split.e
+        # a non-isotropic base is reported before a non-orthogonal argument
+        for e, a in ((h, split.f), (h, split.e1), (half, split.f)):
+            err = NotIsotropicError if lat.norm(e) else NotOrthogonalError
+            with pytest.raises(err):
+                transvection(lat, e, a)
+            with pytest.raises(err):
+                TransvectionAtom(e, a).act(lat, split.e)

@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthlat.errors import DegenerateFormError
+from orthlat import linalg
+from orthlat.errors import DegenerateFormError, InternalSolveFailureError
 from orthlat.linalg import (
     Mat,
     Vec,
@@ -149,6 +150,30 @@ class TestSolve:
 
     def test_identity(self):
         assert solve_linear(Mat.identity(3), [4, -5, 6]) == Vec([4, -5, 6])
+
+    def test_non_integral_rhs_has_no_solution(self):
+        # A x is integral for integral x, so b = (5/2, 3) has none; the
+        # old int() coercion read it as (2, 3) and answered x = (1, 1)
+        assert solve_linear(Mat([[2, 0], [0, 3]]), [Fraction(5, 2), 3]) is None
+        assert solve_linear(Mat([[1]]), [Fraction(1, 3)]) is None
+        assert solve_linear(Mat([[2, 0], [0, 3]]), [Fraction(4, 2), 3]) == Vec([1, 1])
+
+    @pytest.mark.parametrize("b", [[2.7], [2.0], ["2"]])
+    def test_non_scalar_rhs_raises(self, b):
+        with pytest.raises(TypeError):
+            solve_linear(Mat([[1]]), b)
+
+    def test_solution_is_checked(self, monkeypatch):
+        # a wrong V from the Smith form must not give a silent wrong answer
+        honest = linalg.smith_normal_form
+
+        def wrong_v(m):
+            u, s, v = honest(m)
+            return u, s, v + Mat.identity(v.n)
+
+        monkeypatch.setattr(linalg, "smith_normal_form", wrong_v)
+        with pytest.raises(InternalSolveFailureError):
+            solve_linear(Mat([[2, 3]]), [1])
 
     def test_random(self):
         rng = random.Random(7)
