@@ -108,11 +108,13 @@ def rank_update(lattice: Lattice, terms) -> Mat:
     return terms_matrix(lattice, [(c, Vec(x), lattice.gram_apply(z)) for c, x, z in terms])
 
 
-def _left_update(terms, rows: list, den: int) -> tuple[list, int]:
-    """(I + sum c x (G z)^T) M for M = rows / den (integer rows) and terms
-    given as (c, x, G z): each row (G z)^T M is summed over the nonzero
-    entries of G z and added to the rows where x is nonzero, all over
-    one denominator, and the result is normalized once."""
+def _left_update(terms, m: Mat) -> Mat:
+    """(I + sum c x (G z)^T) M for terms given as (c, x, G z): each row
+    (G z)^T M is summed over the nonzero entries of G z and added to the
+    rows where x is nonzero, all over one denominator, and the result is
+    normalized once."""
+    cols = m.m
+    rows = [m._ents[i * cols:(i + 1) * cols] for i in range(m.n)]
     parts = [(c.numerator, x._ents, gz._ents, c.denominator * x._den * gz._den)
              for c, x, gz in terms]
     d = lcm(*(dt for *_, dt in parts))
@@ -126,19 +128,13 @@ def _left_update(terms, rows: list, den: int) -> tuple[list, int]:
                          else [a + g * b for a, b in zip(r, rows[i])])
             if r is not None:
                 updates.append((cn * (d // dt), xs, r))
-    out = [[d * a for a in row] for row in rows] if d != 1 else list(rows)
+    out = [[d * a for a in row] for row in rows] if d != 1 else rows
     for k, xs, r in updates:
         for i, xi in enumerate(xs):
             if xi:
                 kx = k * xi
                 out[i] = [a + kx * b for a, b in zip(out[i], r)]
-    den *= d
-    if den != 1:
-        common = gcd(den, *(a for row in out for a in row))
-        if common != 1:
-            out = [[a // common for a in row] for row in out]
-            den //= common
-    return out, den
+    return Mat._raw(m.n, cols, [a for row in out for a in row], m._den * d)
 
 
 def apply_terms(lattice: Lattice, terms, v) -> Vec:
@@ -314,13 +310,9 @@ class GroupWord:
             return Isometry.identity(lat)
         *rest, last = self.atoms
         m = terms_matrix(lat, last._cached_terms(lat))
-        if not rest:
-            return Isometry._trusted(lat, m)
-        n, ents = m.n, m._ents
-        rows, den = [list(ents[i * n:(i + 1) * n]) for i in range(n)], m._den
         for atom in reversed(rest):
-            rows, den = _left_update(atom._cached_terms(lat), rows, den)
-        return Isometry._trusted(lat, Mat._raw(n, n, [a for row in rows for a in row], den))
+            m = _left_update(atom._cached_terms(lat), m)
+        return Isometry._trusted(lat, m)
 
     def inverse(self) -> "GroupWord":
         return GroupWord(self.lattice, tuple(a.inverse() for a in reversed(self.atoms)))
@@ -358,12 +350,13 @@ def _orthogonal_basis(lattice: Lattice, order=None) -> list[Vec]:
     from orthlat.linalg import congruence_diagonalize
 
     n = lattice.rank
-    order = range(n) if order is None else list(order)
-    perm = Mat([[1 if i == order[j] else 0 for j in range(n)] for i in range(n)])
-    g = perm.transpose() @ lattice.gram @ perm
-    p, _ = congruence_diagonalize(g)
-    full = perm @ p
-    return [full.col(j) for j in range(n)]
+    order = list(range(n) if order is None else order)
+    gram = lattice.gram._ents
+    p, _ = congruence_diagonalize(
+        Mat._raw(n, n, [gram[i * n + j] for i in order for j in order], 1))
+    # row k of P holds coordinate order[k] of every basis vector
+    where = {i: k for k, i in enumerate(order)}
+    return [Vec._raw([p._ents[where[i] * n + j] for i in range(n)], p._den) for j in range(n)]
 
 
 def cartan_dieudonne(g: Isometry, order=None) -> list[Vec]:
@@ -371,26 +364,23 @@ def cartan_dieudonne(g: Isometry, order=None) -> list[Vec]:
 
     Walks a fixed orthogonal basis; each step fixes one more basis
     vector, reflecting by w - g(w) when that is anisotropic and falling
-    back to the two-mirror step (by w + g(w), then w) otherwise.  At
-    most 2*rank mirrors, all anisotropic, fully deterministic.
+    back to the two-mirror step (by w + g(w), then w) otherwise.  Each
+    mirror is folded into the running matrix by one left rank update.
+    At most 2*rank mirrors, all anisotropic, fully deterministic.
     """
     lattice = g.lattice
     mirrors: list[Vec] = []
-    h = g
+    h = g.mat
     for w in _orthogonal_basis(lattice, order):
         hw = h.apply(w)
         if hw == w:
             continue
         d = w - hw
-        if lattice.norm(d) != 0:
-            h = reflection(lattice, d) * h
-            mirrors.append(d)
-        else:
-            s = w + hw
-            h = reflection(lattice, w) * reflection(lattice, s) * h
-            mirrors.append(s)
-            mirrors.append(w)
-    if h.mat != Mat.identity(lattice.rank):
+        step = [d] if lattice.norm(d) != 0 else [w + hw, w]
+        for m in step:
+            h = _left_update(_reflection_terms(lattice, m), h)
+        mirrors += step
+    if h != Mat.identity(lattice.rank):
         raise NotIsometryError("decomposition failed to terminate at the identity")
     # s_{m_k} ... s_{m_1} g = 1, so g = s_{m_1} ... s_{m_k}
     return mirrors

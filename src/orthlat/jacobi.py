@@ -57,24 +57,18 @@ def _lift_l0(split: HyperbolicSplitting, u) -> Vec:
     return Vec(out)
 
 
-_J2 = Mat([[0, 1], [1, 0]])
-
-
 def jacobi_embed(split: HyperbolicSplitting, a: Mat) -> Isometry:
     """[A]: A on the (f1, f) coordinates, its isometry companion on (e, e1)."""
     if a.shape != (2, 2) or not a.is_integral() or a.det() != 1:
         raise NotUnimodularError("need an integral 2x2 matrix of determinant 1")
-    astar = _J2 @ a.transpose().inv() @ _J2
+    (p, q), (r, s) = a.int_rows()
     n = split.lattice.rank
     rows = [[0] * n for _ in range(n)]
-    for i in range(2):
-        for j in range(2):
-            rows[i][j] = int(astar[i, j])
+    # J (A^T)^-1 J with J the 2x2 swap is [[p, -q], [-r, s]], as det A = 1
+    rows[0][:2], rows[1][:2] = [p, -q], [-r, s]
     for i in split.l0_indices:
         rows[i][i] = 1
-    for i in range(2):
-        for j in range(2):
-            rows[n - 2 + i][n - 2 + j] = int(a[i, j])
+    rows[n - 2][n - 2:], rows[n - 1][n - 2:] = [p, q], [r, s]
     return Isometry(split.lattice, Mat(rows))
 
 

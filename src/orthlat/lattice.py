@@ -65,7 +65,8 @@ class Lattice:
         for i in range(gram.n):
             if int(gram[i, i]) % 2:
                 raise OddDiagonalError(f"odd diagonal entry at index {i}")
-        if gram.det() == 0:
+        det = int(gram.det())
+        if det == 0:
             raise DegenerateFormError("Gram matrix is singular")
         self.gram = gram
         self.rank = gram.n
@@ -75,7 +76,7 @@ class Lattice:
         if labels is None:
             labels = tuple(f"b{i}" for i in range(gram.n))
         self.labels = tuple(labels)
-        self._cache = {}
+        self._cache = {"det": det}
 
     # -- identity -----------------------------------------------------
     def __eq__(self, other):
@@ -125,8 +126,7 @@ class Lattice:
         return Vec.unit(self.rank, i)
 
     def det(self) -> int:
-        if "det" not in self._cache:
-            self._cache["det"] = int(self.gram.det())
+        """det G, computed once by the singularity check in __init__."""
         return self._cache["det"]
 
     def gram_inverse(self) -> Mat:
@@ -309,7 +309,7 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_block_spec(spec: str) -> Lattice:
+def build(spec: str) -> Lattice:
     """Parse the block mini-language, e.g. "2U+2E8(-1)+<-6>"."""
     terms = []
     for term in spec.split("+"):
@@ -327,10 +327,6 @@ def parse_block_spec(spec: str) -> Lattice:
     if not terms:
         raise SpecParseError("empty lattice spec")
     return _direct_sum(terms)
-
-
-def build(spec: str) -> Lattice:
-    return parse_block_spec(spec)
 
 
 # ---------------------------------------------------------------------

@@ -302,33 +302,19 @@ class Mat:
         return _scalar(sign * a[n - 1][n - 1], self._den ** n)
 
     def inv(self) -> "Mat":
-        """Exact inverse by Gauss-Jordan elimination."""
+        """Exact inverse d V S^-1 U, read off the Smith form U N V = S of
+        the integer numerators N = d M."""
         if self.n != self.m:
             raise ValueError("inverse of a non-square matrix")
         n = self.n
-        d = self._den
-        a = [[Fraction(self._ents[i * n + j], d) for j in range(n)] for i in range(n)]
-        b = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if a[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                raise ValueError("singular matrix")
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                b[k], b[piv] = b[piv], b[k]
-            p = a[k][k]
-            a[k] = [x / p for x in a[k]]
-            b[k] = [x / p for x in b[k]]
-            for i in range(n):
-                if i != k and a[i][k]:
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                    b[i] = [x - f * y for x, y in zip(b[i], b[k])]
-        return Mat(b)
+        u, s, v = smith_normal_form(Mat._raw(n, n, self._ents, 1))
+        diag = s._ents[::n + 1]
+        if 0 in diag:
+            raise ValueError("singular matrix")
+        # S^-1 U over the last invariant factor, which all the others divide
+        top = diag[-1] if n else 1
+        scaled = [x * (top // diag[i // n]) for i, x in enumerate(u._ents)]
+        return v @ Mat._raw(n, n, scaled, top) * self._den
 
     def __repr__(self):
         return f"Mat({[list(self.row(i)) for i in range(self.n)]!r})"

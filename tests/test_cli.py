@@ -29,6 +29,23 @@ _RATIONAL_REFLECTION = json.dumps({"matrix": [
 _INTEGRAL_TRANSVECTION = json.dumps({"matrix": [
     ["1", "-1", "-2", "-1", "2"], ["0", "1", "0", "0", "0"], ["0", "1", "1", "0", "0"],
     ["0", "2", "0", "1", "0"], ["0", "1", "0", "0", "1"]]})
+_K3 = "2U+2E8(-1)+<-2>"
+
+
+def _k3_isometry() -> str:
+    """An integral isometry of the rank-21 K3 lattice: reflections in
+    e + f (spinor norm -1) and in the <-2> generator h, and transvections
+    based at e and f, as a matrix payload."""
+    lat = build(_K3)
+    e, f, e1, f1, r1 = (lat.basis_vector(i) for i in range(5))
+    h, r11 = lat.basis_vector(20), lat.basis_vector(12)
+    word = isometry.GroupWord(lat, (
+        isometry.ReflectionAtom(e + f), isometry.TransvectionAtom(e, e1 + 2 * r1 - h),
+        isometry.ReflectionAtom(h), isometry.TransvectionAtom(f, f1 - r1 + r11)))
+    return json.dumps({"matrix": [[str(x) for x in row] for row in word.evaluate().mat.int_rows()]})
+
+
+_K3_ISOMETRY = _k3_isometry()
 
 
 class TestLattice:
@@ -523,6 +540,13 @@ GOLDEN = [
     pytest.param(["elem", "check", "--spec", "2U+<-6>", "--json", _RATIONAL_REFLECTION], 0,
                  "286256ae4c3a5ca441df6fa651ff7f6996fddf8af1b36ee7c3e26a71f5c544b2",
                  id="check-rational"),
+    # recorded before cartan_dieudonne folded its mirrors in by rank updates
+    pytest.param(["elem", "check", "--spec", _K3, "--json", _K3_ISOMETRY], 0,
+                 "5b9a6080f8888ce75b7fdfd6f57ce904bbe2aedd4ce5c9de2e606014948312bd",
+                 id="check-k3"),
+    pytest.param(["elem", "spinor", "--spec", _K3, "--json", _K3_ISOMETRY], 0,
+                 "8f51ea49f029a2ffdf2fba980c9e71da19b8821aa99b3beb5e411d16c0e31e5d",
+                 id="spinor-k3"),
 ]
 
 

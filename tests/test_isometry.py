@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -27,7 +29,7 @@ from orthlat.isometry import (
 from orthlat.eichler import standard_splitting
 from orthlat.jacobi import jacobi_lattice
 from orthlat.lattice import Lattice, build
-from orthlat.linalg import Mat, Vec
+from orthlat.linalg import Mat, Vec, congruence_diagonalize
 from orthlat.sampling import (
     integral_isometry,
     isotropic_vector,
@@ -459,3 +461,87 @@ class TestTwoTermTransvection:
                 transvection(lat, e, a)
             with pytest.raises(err):
                 TransvectionAtom(e, a).act(lat, split.e)
+
+
+def dense_cartan_dieudonne(g: Isometry, order=None) -> list[Vec]:
+    """The mirror walk with each reflection's own matrix and a dense
+    product, over the orthogonal basis of a permuted Gram matrix built
+    with a permutation matrix."""
+    lat = g.lattice
+    n = lat.rank
+    order = range(n) if order is None else list(order)
+    perm = Mat([[1 if i == order[j] else 0 for j in range(n)] for i in range(n)])
+    p, _ = congruence_diagonalize(perm.transpose() @ lat.gram @ perm)
+    full = perm @ p
+    mirrors, h = [], g
+    for w in (full.col(j) for j in range(n)):
+        hw = h.apply(w)
+        if hw == w:
+            continue
+        d = w - hw
+        if lat.norm(d) != 0:
+            h = reflection(lat, d) * h
+            mirrors.append(d)
+        else:
+            s = w + hw
+            h = reflection(lat, w) * reflection(lat, s) * h
+            mirrors += [s, w]
+    assert h == Isometry.identity(lat)
+    return mirrors
+
+
+class TestCartanDieudonneOracle:
+    """cartan_dieudonne folds each mirror in by a left rank update; the
+    oracle is the dense product of reflection matrices, kept here only."""
+
+    @pytest.mark.parametrize("name", ["2U+A2", "2U+<-10>", "jacobi A2"])
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32), length=st.integers(0, 8), rational=st.booleans())
+    def test_same_mirrors(self, name, seed, length, rational):
+        split = EVALUATE_SPLITS[name]()
+        lat = split.lattice
+        rng = random.Random(seed)
+        if rational:
+            g = GroupWord(lat, [random_rational_atom(split, rng) for _ in range(length)])
+        else:
+            g = mixed_word(split, rng, length)
+        g = g.evaluate()
+        order = list(range(lat.rank))
+        rng.shuffle(order)
+        for o in (None, order):
+            mirrors = cartan_dieudonne(g, o)
+            assert mirrors == dense_cartan_dieudonne(g, o)
+            assert reassemble(lat, mirrors) == g
+
+
+K3_SPLIT = standard_splitting(build("2U+2E8(-1)+<-2>"))
+
+# sha256 of the JSON of (mirrors, mirrors under a shuffled basis order,
+# spinor norm) over the words of k3_isometries(seed), recorded before
+# cartan_dieudonne folded mirrors in by rank updates
+K3_CARTAN_DIGESTS = {
+    1: "5ce18044f575fbeb0d955b8a990de25206c48fdd6c036e5ed826ba31855971fb",
+    2: "6a376bc2fbd9d0458ea06fa9a5632bef8cc62e0fecedacf6797609a2b2414d9a",
+    3: "73788e82b396708f4dc9e13170f5c068f3a8beaa75c11e6259f22f1478904a32",
+}
+
+
+def k3_isometries(seed, count=6):
+    """Seeded integral words on the rank-21 K3 lattice mixing integral
+    transvections with reflections in e + f (spinor norm -1), in the
+    <-2> generator h and in the first E8(-1) root."""
+    lat, rng = K3_SPLIT.lattice, random.Random(seed)
+    mirrors = [K3_SPLIT.e + K3_SPLIT.f, lat.basis_vector(lat.rank - 1), lat.basis_vector(4)]
+    return [(mixed_word(K3_SPLIT, rng, rng.randint(1, 8), roots=mirrors).evaluate(),
+             rng.sample(range(lat.rank), lat.rank)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", sorted(K3_CARTAN_DIGESTS))
+def test_k3_cartan_dieudonne_pinned(seed):
+    record = []
+    for g, order in k3_isometries(seed):
+        mirrors = [[str(x) for x in m] for m in cartan_dieudonne(g)]
+        shuffled = [[str(x) for x in m] for m in cartan_dieudonne(g, order)]
+        record.append([mirrors, shuffled, spinor_norm_q(g), spinor_norm_q(g, order)])
+    text = json.dumps(record)
+    assert hashlib.sha256(text.encode()).hexdigest() == K3_CARTAN_DIGESTS[seed]

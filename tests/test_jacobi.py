@@ -18,6 +18,7 @@ from orthlat.jacobi import (
 )
 from orthlat.lattice import build
 from orthlat.linalg import Mat
+from test_linalg import gauss_jordan_inverse
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,24 @@ class TestEmbeddings:
             a, b = rng.choice(mats), rng.choice(mats)
             assert jacobi_embed(split, a) * jacobi_embed(split, b) \
                 == jacobi_embed(split, a @ b)
+
+    def test_companion_block_closed_form(self, ja2):
+        # [[a, -b], [-c, d]] is J (A^T)^-1 J for A in SL2(Z), with the
+        # inverse taken by the Gauss-Jordan oracle of test_linalg
+        _, _, split = ja2
+        rng = random.Random(7)
+        gens = [Mat([[1, 1], [0, 1]]), Mat([[1, -1], [0, 1]]), Mat([[1, 0], [1, 1]]),
+                Mat([[1, 0], [-1, 1]]), Mat([[0, -1], [1, 0]])]
+        j2 = Mat([[0, 1], [1, 0]])
+        for _ in range(25):
+            a = Mat.identity(2)
+            for _ in range(rng.randint(0, 12)):
+                a = a @ rng.choice(gens)
+            (p, q), (r, s) = a.int_rows()
+            closed = Mat([[p, -q], [-r, s]])
+            assert closed == j2 @ gauss_jordan_inverse(a.transpose()) @ j2
+            g = jacobi_embed(split, a).mat
+            assert Mat([[g[i, j] for j in range(2)] for i in range(2)]) == closed
 
 
 class TestHeisenberg:

@@ -3,10 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orthlat import linalg
 from orthlat.errors import DegenerateFormError, InternalSolveFailureError
+from orthlat.lattice import build
 from orthlat.linalg import (
     Mat,
     Vec,
@@ -41,6 +42,31 @@ def is_canonical(x) -> bool:
 
 def random_int_matrix(rng, n, m, bound=9):
     return Mat([[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)])
+
+
+def gauss_jordan_inverse(m: Mat) -> Mat:
+    """The reference inverse: Gauss-Jordan elimination over Fractions,
+    with the errors of Mat.inv."""
+    if m.n != m.m:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.n
+    a = [[Fraction(m[i, j]) for j in range(n)] for i in range(n)]
+    b = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        b[k], b[piv] = b[piv], b[k]
+        p = a[k][k]
+        a[k] = [x / p for x in a[k]]
+        b[k] = [x / p for x in b[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                b[i] = [x - f * y for x, y in zip(b[i], b[k])]
+    return Mat(b)
 
 
 def random_symmetric(rng, n, bound=5):
@@ -397,3 +423,60 @@ class TestSmithProperties:
         assert all(d >= 0 for d in diag)
         for d, e in zip(diag, diag[1:]):
             assert e == 0 if d == 0 else e % d == 0
+
+
+# the lattices of the CLI goldens, and the rank-21 K3 lattice
+GOLDEN_SPECS = ["U", "<-2>", "A2", "2U+<-2>", "2U+<-6>", "2U+<-10>", "2U+<-12>", "2U+A2",
+                "2U+A2(-3)+<-6>", "2U+<-6>+A2", "2U+2A2(-3)", "2U+<-6>+A2(-3)+<-4>",
+                "2U+2E8(-1)+<-2>"]
+
+# rational entries, most of them not integers
+rational_cells = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6, 35)))
+
+
+def inverse_or_error(f, m):
+    """The inverse, or the message of the ValueError raised instead."""
+    try:
+        return f(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestInverseOracle:
+    """Mat.inv reads the inverse off the Smith form of the numerators;
+    the oracle is Gauss-Jordan elimination over Fractions, kept here."""
+
+    @PROPERTY
+    @given(n=st.integers(0, 6), data=st.data())
+    def test_matches_gauss_jordan(self, n, data):
+        m = Mat([data.draw(st.lists(rational_cells, min_size=n, max_size=n)) for _ in range(n)])
+        assume(n == 0 or not m.is_integral())
+        assert inverse_or_error(Mat.inv, m) == inverse_or_error(gauss_jordan_inverse, m)
+        if n and m.det():
+            assert m.inv() @ m == Mat.identity(n) == m @ m.inv()
+
+    @PROPERTY
+    @given(n=st.integers(1, 6), data=st.data())
+    def test_singular_raises(self, n, data):
+        rows = [data.draw(st.lists(rational_cells, min_size=n, max_size=n)) for _ in range(n)]
+        # the last row is a rational combination of the others
+        coeffs = data.draw(st.lists(rational_cells, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
+        m = Mat(rows)
+        assert inverse_or_error(Mat.inv, m) == "singular matrix"
+        assert inverse_or_error(gauss_jordan_inverse, m) == "singular matrix"
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 3), (3, 0)])
+    def test_non_square_raises(self, shape):
+        m = Mat([[Fraction(1, 2)] * shape[1] for _ in range(shape[0])])
+        assert m.shape == shape
+        for f in (Mat.inv, gauss_jordan_inverse):
+            with pytest.raises(ValueError, match="inverse of a non-square matrix"):
+                f(m)
+
+    @pytest.mark.parametrize("spec", GOLDEN_SPECS)
+    def test_gram_inverse(self, spec):
+        lat = build(spec)
+        inv = lat.gram_inverse()
+        assert inv @ lat.gram == Mat.identity(lat.rank)
+        assert inv == gauss_jordan_inverse(lat.gram)
