@@ -119,8 +119,13 @@ class CommutatorCertificate:
         }
 
 
-def _empty(split) -> GroupWord:
-    return GroupWord(split.lattice)
+def _certified(target: Isometry, pairs, tail: GroupWord, failure: str) -> CommutatorCertificate:
+    """The certificate of target by pairs and tail, once its word is
+    checked to evaluate to target; WrongNormError(failure) otherwise."""
+    cert = CommutatorCertificate(target=target, pairs=pairs, tail=tail)
+    if not cert.verify():
+        raise WrongNormError(failure)
+    return cert
 
 
 def default_norm_six_vector(split: HyperbolicSplitting) -> Vec:
@@ -148,30 +153,21 @@ def certificate_p4(split: HyperbolicSplitting, v6=None) -> CommutatorCertificate
         TransvectionAtom(split.f, v6),
         TransvectionAtom(split.e, v6),
     ))
-    cert = CommutatorCertificate(target=p_map(split, 4), pairs=(), tail=tail)
-    if not cert.verify():
-        raise WrongNormError("four-transvection word failed to evaluate to P(4)")
-    return cert
+    return _certified(p_map(split, 4), (), tail,
+                      "four-transvection word failed to evaluate to P(4)")
 
 
-def certificate_transvection(split: HyperbolicSplitting, u, v6=None) -> CommutatorCertificate:
+def certificate_transvection(split: HyperbolicSplitting, u) -> CommutatorCertificate:
     """t(e, u) as the literal commutator [P(4)^-1, t(e, u/3)], with
     P(4) expanded through its four-transvection word."""
     u = Vec(u)
     lat = split.lattice
     if lat.inner(u, split.e) != 0:
         raise WrongNormError("u must be orthogonal to e")
-    p4_word = certificate_p4(split, v6).tail
-    x = p4_word.inverse()
+    x = certificate_p4(split).tail.inverse()
     y = GroupWord(lat, (TransvectionAtom(split.e, u / 3),))
-    cert = CommutatorCertificate(
-        target=transvection(lat, split.e, u),
-        pairs=((x, y),),
-        tail=_empty(split),
-    )
-    if not cert.verify():
-        raise WrongNormError("transvection certificate failed to verify")
-    return cert
+    return _certified(transvection(lat, split.e, u), ((x, y),), GroupWord(lat),
+                      "transvection certificate failed to verify")
 
 
 def _require_l0(split: HyperbolicSplitting, v: Vec, name: str):
@@ -193,10 +189,8 @@ def heisenberg_commutator(split: HyperbolicSplitting, s, u) -> CommutatorCertifi
     y = GroupWord(lat, (TransvectionAtom(split.e1, u),))
     target = transvection(
         lat, split.e, s * u - (s * Fraction(lat.norm(u)) / 2) * split.e1)
-    cert = CommutatorCertificate(target=target, pairs=((x, y),), tail=_empty(split))
-    if not cert.verify():
-        raise WrongNormError("commutator identity failed to verify")
-    return cert
+    return _certified(target, ((x, y),), GroupWord(lat),
+                      "commutator identity failed to verify")
 
 
 def triple_product(split: HyperbolicSplitting, s, u, v) -> CommutatorCertificate:
@@ -217,11 +211,5 @@ def triple_product(split: HyperbolicSplitting, s, u, v) -> CommutatorCertificate
     yv = GroupWord(lat, (TransvectionAtom(split.e1, v),))
     yuv = GroupWord(lat, (TransvectionAtom(split.e1, u + v),))
     target = transvection(lat, split.e, (s * Fraction(lat.inner(u, v))) * split.e1)
-    cert = CommutatorCertificate(
-        target=target,
-        pairs=((x, yu), (x, yv), (yuv, x)),
-        tail=_empty(split),
-    )
-    if not cert.verify():
-        raise WrongNormError("triple commutator identity failed to verify")
-    return cert
+    return _certified(target, ((x, yu), (x, yv), (yuv, x)), GroupWord(lat),
+                      "triple commutator identity failed to verify")

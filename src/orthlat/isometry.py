@@ -35,14 +35,13 @@ from orthlat.linalg import Mat, Vec, as_scalar, parse_scalar
 class Isometry:
     """An exact matrix preserving the bilinear form of its lattice."""
 
-    __slots__ = ("lattice", "mat", "_det")
+    __slots__ = ("lattice", "mat")
 
     def __init__(self, lattice: Lattice, mat: Mat, _checked: bool = False):
         if not _checked:
             lattice.check_isometry(mat)
         self.lattice = lattice
         self.mat = mat
-        self._det = None
 
     @classmethod
     def _trusted(cls, lattice: Lattice, mat: Mat) -> "Isometry":
@@ -53,9 +52,7 @@ class Isometry:
         return cls._trusted(lattice, Mat.identity(lattice.rank))
 
     def det(self) -> int:
-        if self._det is None:
-            self._det = int(self.mat.det())
-        return self._det
+        return int(self.mat.det())
 
     def is_integral(self) -> bool:
         return self.mat.is_integral()
@@ -376,10 +373,13 @@ def cartan_dieudonne(g: Isometry, order=None) -> list[Vec]:
         if hw == w:
             continue
         d = w - hw
-        step = [d] if lattice.norm(d) != 0 else [w + hw, w]
-        for m in step:
-            h = _left_update(_reflection_terms(lattice, m), h)
-        mirrors += step
+        try:
+            step = [(d, _reflection_terms(lattice, d))]
+        except IsotropicMirrorError:
+            step = [(m, _reflection_terms(lattice, m)) for m in (w + hw, w)]
+        for m, terms in step:
+            h = _left_update(terms, h)
+            mirrors.append(m)
     if h != Mat.identity(lattice.rank):
         raise NotIsometryError("decomposition failed to terminate at the identity")
     # s_{m_k} ... s_{m_1} g = 1, so g = s_{m_1} ... s_{m_k}

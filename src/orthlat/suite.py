@@ -8,6 +8,7 @@ check order, sorted JSON keys downstream).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 from orthlat import commutators, jacobi, sampling
@@ -22,101 +23,81 @@ def _check(name, trials, ok, note=""):
     return {"name": name, "trials": trials, "pass": bool(ok), "note": note}
 
 
+def _holds(name, trials, relation, note=""):
+    """The check that relation() holds on each of trials draws.  The
+    first failure ends the run, so no later draw is taken from the
+    stream."""
+    return _check(name, trials, all(relation() for _ in range(trials)), note)
+
+
 def _eafor(split, rng):
     e = sampling.isotropic_vector(split, rng)
     a = sampling.orthogonal_to(split.lattice, rng, e)
     return e, a
 
 
-def run_additivity(split, rng, trials) -> dict:
+def _additivity(split, rng) -> bool:
     lat = split.lattice
-    ok = True
-    for _ in range(trials):
-        e, a = _eafor(split, rng)
-        b = sampling.orthogonal_to(lat, rng, e)
-        if transvection(lat, e, a) * transvection(lat, e, b) != transvection(lat, e, a + b):
-            ok = False
-            break
-        if transvection(lat, e, a).inverse() != transvection(lat, e, -a):
-            ok = False
-            break
-    return _check("transvection additivity and inverse", trials, ok)
+    e, a = _eafor(split, rng)
+    b = sampling.orthogonal_to(lat, rng, e)
+    return (transvection(lat, e, a) * transvection(lat, e, b) == transvection(lat, e, a + b)
+            and transvection(lat, e, a).inverse() == transvection(lat, e, -a))
 
 
-def run_conjugation(split, rng, trials) -> dict:
+def _conjugation(split, rng) -> bool:
     lat = split.lattice
-    ok = True
-    for _ in range(trials):
-        e, a = _eafor(split, rng)
-        g = sampling.integral_isometry(split, rng, rng.randint(1, 4))
-        lhs = g * transvection(lat, e, a) * g.inverse()
-        if lhs != transvection(lat, g.apply(e), g.apply(a)):
-            ok = False
-            break
-    return _check("transvection conjugation", trials, ok,
-                  note="second argument transported alongside the base vector")
+    e, a = _eafor(split, rng)
+    g = sampling.integral_isometry(split, rng, rng.randint(1, 4))
+    lhs = g * transvection(lat, e, a) * g.inverse()
+    return lhs == transvection(lat, g.apply(e), g.apply(a))
 
 
-def run_rescaling(split, rng, trials) -> dict:
+def _rescaling(split, rng) -> bool:
     lat = split.lattice
-    ok = True
-    for _ in range(trials):
-        e, a = _eafor(split, rng)
-        x = sampling.nonzero_rational(rng)
-        if transvection(lat, x * e, a) != transvection(lat, e, x * a):
-            ok = False
-            break
-        if transvection(lat, e, x * e) != Isometry.identity(lat):
-            ok = False
-            break
-    return _check("transvection rescaling", trials, ok)
+    e, a = _eafor(split, rng)
+    x = sampling.nonzero_rational(rng)
+    return (transvection(lat, x * e, a) == transvection(lat, e, x * a)
+            and transvection(lat, e, x * e) == Isometry.identity(lat))
 
 
-def run_two_reflection_form(split, rng, trials) -> dict:
+def _two_reflection_form(split, rng) -> bool:
     lat = split.lattice
-    ok = True
-    for _ in range(trials):
-        e = sampling.isotropic_vector(split, rng)
-        a = sampling.orthogonal_to(lat, rng, e, anisotropic=True)
-        second = a + (Fraction(lat.norm(a)) / 2) * e
-        if reflection(lat, a) * reflection(lat, second) != transvection(lat, e, a):
-            ok = False
-            break
-    return _check("two-reflection factorization", trials, ok,
-                  note="mirror a applied last under the column convention")
+    e = sampling.isotropic_vector(split, rng)
+    a = sampling.orthogonal_to(lat, rng, e, anisotropic=True)
+    second = a + (Fraction(lat.norm(a)) / 2) * e
+    return reflection(lat, a) * reflection(lat, second) == transvection(lat, e, a)
 
 
-def run_reflection_pair(split, rng, trials) -> dict:
+def _reflection_pair(split, rng) -> bool:
     lat = split.lattice
     e, f = split.e, split.f
-    ok = True
-    for _ in range(trials):
-        a = sampling.l1_vector(split, rng)
-        n = lat.norm(a)
-        if n == 0:
-            continue
-        beta = Fraction(2, n)
-        lhs = (transvection(lat, f, a) * transvection(lat, e, beta * a)
-               * transvection(lat, f, a))
-        if lhs != reflection(lat, a) * reflection(lat, e + (Fraction(n) / 2) * f):
-            ok = False
-            break
-    return _check("three-transvection reflection pair", trials, ok,
-                  note="second mirror e + ((a,a)/2) f")
+    a = sampling.l1_vector(split, rng)
+    n = lat.norm(a)
+    if n == 0:
+        return True
+    beta = Fraction(2, n)
+    lhs = (transvection(lat, f, a) * transvection(lat, e, beta * a)
+           * transvection(lat, f, a))
+    return lhs == reflection(lat, a) * reflection(lat, e + (Fraction(n) / 2) * f)
+
+
+# (name, relation(split, rng) -> bool, note), in the order the suite runs them
+TRANSVECTION_RELATIONS = (
+    ("transvection additivity and inverse", _additivity, ""),
+    ("transvection conjugation", _conjugation,
+     "second argument transported alongside the base vector"),
+    ("transvection rescaling", _rescaling, ""),
+    ("two-reflection factorization", _two_reflection_form,
+     "mirror a applied last under the column convention"),
+    ("three-transvection reflection pair", _reflection_pair,
+     "second mirror e + ((a,a)/2) f"),
+)
 
 
 def run_identity_block(spec: str, rng, trials: int) -> list[dict]:
     split = standard_splitting(build(spec))
-    checks = [
-        run_additivity(split, rng, trials),
-        run_conjugation(split, rng, trials),
-        run_rescaling(split, rng, trials),
-        run_two_reflection_form(split, rng, trials),
-        run_reflection_pair(split, rng, trials),
-    ]
-    for c in checks:
-        c["lattice"] = spec
-    return checks
+    return [{**_holds(name, trials, partial(relation, split, rng), note), "lattice": spec}
+            for name, relation, note in TRANSVECTION_RELATIONS]
 
 
 def run_jacobi_block(rng) -> list[dict]:
@@ -130,6 +111,20 @@ def run_jacobi_block(rng) -> list[dict]:
         for c in jacobi.paramodular_flip_check(t):
             out.append(_check(f"jacobi: {c.name}", 1, c.holds))
     return out
+
+
+def _transvection_certificate(split, rng) -> bool:
+    c = commutators.certificate_transvection(split, sampling.l1_vector(split, rng))
+    return c.verify() and c.groups_are_commutators() and c.target.det() == 1
+
+
+def _plane_commutators(split, rng) -> bool:
+    u = sampling.l0_vector(split, rng)
+    v = sampling.l0_vector(split, rng)
+    s = sampling.rational(rng, 3)
+    ch = commutators.heisenberg_commutator(split, s, u)
+    ct = commutators.triple_product(split, s, u, v)
+    return ch.verify() and ct.verify() and ct.groups_are_commutators()
 
 
 def run_commutator_block(rng) -> list[dict]:
@@ -159,27 +154,10 @@ def run_commutator_block(rng) -> list[dict]:
                       pword.evaluate() == commutators.p_map(split, 4),
                       note="mirror e - s f applied second"))
 
-    ok = True
-    for _ in range(20):
-        u = sampling.l1_vector(split, rng)
-        c = commutators.certificate_transvection(split, u)
-        if not (c.verify() and c.groups_are_commutators()
-                and c.target.det() == 1):
-            ok = False
-            break
-    out.append(_check("transvection commutator certificates", 20, ok))
-
-    ok = True
-    for _ in range(20):
-        u = sampling.l0_vector(split, rng)
-        v = sampling.l0_vector(split, rng)
-        s = sampling.rational(rng, 3)
-        ch = commutators.heisenberg_commutator(split, s, u)
-        ct = commutators.triple_product(split, s, u, v)
-        if not (ch.verify() and ct.verify() and ct.groups_are_commutators()):
-            ok = False
-            break
-    out.append(_check("plane commutator identities", 20, ok,
+    out.append(_holds("transvection commutator certificates", 20,
+                      partial(_transvection_certificate, split, rng)))
+    out.append(_holds("plane commutator identities", 20,
+                      partial(_plane_commutators, split, rng),
                       note="third factor of the triple product inverted"))
     return out
 

@@ -463,6 +463,23 @@ GOLDEN = [
     pytest.param(["suite", "run", "--seed", "42"], 0,
                  "4131d9af075bec3a79835287f94b8548cf6792176ab92fa0ffbf3d9244dcaed3",
                  id="suite-run"),
+    # recorded before the suite's relations shared one trial runner and
+    # the commutator certificates one constructor
+    pytest.param(["suite", "run", "--seed", "1"], 0,
+                 "f6f3e0f7b1c25cb12f62c7351fd1735c0c7118310e6996c0c341b0fc621855c8",
+                 id="suite-run-seed-1"),
+    pytest.param(["suite", "run", "--seed", "7"], 0,
+                 "1b9d2bdf1e9ee06200754d17175fb00b4af0e8dd3070bcedf38a6479cae08c8f",
+                 id="suite-run-seed-7"),
+    pytest.param(["witness", "p4"], 0,
+                 "300f73ef07a8af6aa018ec513c59e50ec536c228625af2f970dfed932ae07e34",
+                 id="witness-p4"),
+    pytest.param(["witness", "transvection", "--json", '{"u": ["0","1","0","0","0"]}'], 0,
+                 "f2997438c80a432a4ffdedbd466eb0e720a987fcb1df5bc8dc0994378280c905",
+                 id="witness-transvection"),
+    pytest.param(["jacobi", "verify"], 0,
+                 "82a4acabd705af59ced85c31c136b24346e23825a0b76535e28cefa4e362dad0",
+                 id="jacobi-verify"),
     pytest.param(["lattice", "census", "--spec", "2U+A2", "--box", "3"], 0,
                  "02669fe26aa22d22edddaab6e1c81e6dd966864c53df127ad72d3a2b5ad986e0",
                  id="census-2U+A2"),

@@ -1,0 +1,63 @@
+"""The identity suite's trial runner: a relation is tried until its
+first failure and no further.  That fixes how many draws each check
+takes from the shared random stream, and so what every later check
+sees."""
+
+from random import Random
+
+import pytest
+
+from orthlat import suite
+
+
+def counting(fails_on=None):
+    """A relation that records its calls and fails on call fails_on."""
+    calls = []
+
+    def relation():
+        calls.append(None)
+        return len(calls) != fails_on
+
+    return relation, calls
+
+
+class TestHolds:
+    @pytest.mark.parametrize("k", [1, 2, 7, 10])
+    def test_stops_at_first_failure(self, k):
+        relation, calls = counting(fails_on=k)
+        report = suite._holds("r", 10, relation, note="n")
+        assert len(calls) == k
+        assert report == {"name": "r", "trials": 10, "pass": False, "note": "n"}
+
+    @pytest.mark.parametrize("trials", [0, 1, 20, 50])
+    def test_holding_relation_runs_every_trial(self, trials):
+        relation, calls = counting()
+        report = suite._holds("r", trials, relation)
+        assert len(calls) == trials
+        assert report == {"name": "r", "trials": trials, "pass": True, "note": ""}
+
+
+class TestIdentityBlock:
+    def test_failure_leaves_the_stream_for_the_next_relation(self, monkeypatch):
+        draws = {"fails": [], "holds": []}
+
+        def fails_on_second_trial(split, rng):
+            draws["fails"].append(rng.random())
+            return len(draws["fails"]) < 2
+
+        def holds(split, rng):
+            draws["holds"].append(rng.random())
+            return True
+
+        monkeypatch.setattr(suite, "TRANSVECTION_RELATIONS", (
+            ("fails", fails_on_second_trial, "a"),
+            ("holds", holds, ""),
+        ))
+        checks = suite.run_identity_block("2U+<-2>", Random(5), 4)
+        assert checks == [
+            {"name": "fails", "trials": 4, "pass": False, "note": "a", "lattice": "2U+<-2>"},
+            {"name": "holds", "trials": 4, "pass": True, "note": "", "lattice": "2U+<-2>"},
+        ]
+        rng = Random(5)
+        stream = [rng.random() for _ in range(6)]
+        assert draws == {"fails": stream[:2], "holds": stream[2:]}
