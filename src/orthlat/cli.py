@@ -287,7 +287,7 @@ def cmd_jacobi_verify(args) -> dict:
 
 def cmd_witness_p4(args) -> dict:
     _, split = _jacobi_context(args)
-    data = _payload(args) if args.json or args.payload_file else {}
+    data = _payload(args) if args.json is not None or args.payload_file is not None else {}
     v6 = _parse_vec(data["v6"]) if "v6" in data else None
     return commutators.certificate_p4(split, v6).to_json()
 

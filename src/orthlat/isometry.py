@@ -29,7 +29,7 @@ from orthlat.errors import (
     TooLargeError,
 )
 from orthlat.lattice import Lattice
-from orthlat.linalg import Mat, Vec, as_scalar, parse_scalar
+from orthlat.linalg import Mat, Vec, as_scalar, congruence_diagonalize, parse_scalar
 
 
 class Isometry:
@@ -344,8 +344,6 @@ class GroupWord:
 def _orthogonal_basis(lattice: Lattice, order=None) -> list[Vec]:
     """An orthogonal rational basis, from symmetric elimination of the
     Gram matrix; ``order`` permutes the starting basis first."""
-    from orthlat.linalg import congruence_diagonalize
-
     n = lattice.rank
     order = list(range(n) if order is None else order)
     gram = lattice.gram._ents

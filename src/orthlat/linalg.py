@@ -443,56 +443,36 @@ def solve_linear(a: Mat, b) -> Vec | None:
 def congruence_diagonalize(g: Mat) -> tuple[Mat, Mat]:
     """P, D with P^T G P == D diagonal, over the rationals.
 
-    Symmetric Gaussian elimination; when every remaining diagonal entry
-    is zero, a hyperbolic column/row addition creates a pivot first.
+    Symmetric Gaussian elimination on the columns p_k of P, each pairing
+    read off G p_k; when every remaining norm is zero, a hyperbolic
+    column addition creates a pivot first.
     Raises DegenerateFormError when det G == 0.
     """
     if not g.is_symmetric():
         raise ValueError("congruence diagonalization needs a symmetric matrix")
     n = g.n
-    a = [[Fraction(g[i, j]) for j in range(n)] for i in range(n)]
-    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-    def col_add(dst, src, f):
-        # col_dst += f * col_src, same on rows of a to keep symmetry
-        for i in range(n):
-            a[i][dst] += f * a[i][src]
-        for j in range(n):
-            a[dst][j] += f * a[src][j]
-        for i in range(n):
-            p[i][dst] += f * p[i][src]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        a[i], a[j] = a[j], a[i]
-        for r in p:
-            r[i], r[j] = r[j], r[i]
-
+    cols = [Vec.unit(n, i) for i in range(n)]
+    diag = []
     for k in range(n):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][i]), None)
-            if piv is not None:
-                col_swap(k, piv)
-            else:
-                hyp = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if a[i][j]:
-                            hyp = (i, j)
-                            break
-                    if hyp:
-                        break
-                if hyp is None:
+        gp = g.apply(cols[k])
+        if not cols[k].dot(gp):
+            piv = next((i for i in range(k + 1, n) if cols[i].dot(g.apply(cols[i]))), None)
+            if piv is None:
+                # p_i += p_j for the first nonzero pairing, i >= k and j > i
+                piv, j = next(((i, j) for i in range(k, n) for gi in (g.apply(cols[i]),)
+                               for j in range(i + 1, n) if cols[j].dot(gi)), (None, None))
+                if piv is None:
                     raise DegenerateFormError("form is degenerate")
-                col_add(hyp[0], hyp[1], Fraction(1))
-                if hyp[0] != k:
-                    col_swap(k, hyp[0])
-        piv = a[k][k]
+                cols[piv] += cols[j]
+            cols[k], cols[piv] = cols[piv], cols[k]
+            gp = g.apply(cols[k])
+        diag.append(Fraction(cols[k].dot(gp)))
         for j in range(k + 1, n):
-            if a[k][j]:
-                col_add(j, k, -a[k][j] / piv)
-    return Mat(p), Mat(a)
+            c = cols[j].dot(gp)
+            if c:
+                cols[j] = cols[j] - cols[k] * (c / diag[k])
+    return (Mat(cols).transpose(),
+            Mat([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
 
 
 def signature_of(g: Mat) -> tuple[int, int]:

@@ -439,6 +439,14 @@ class TestSuiteAndErrors:
         assert code == 2
         assert data["error"] == "usage"
 
+    @pytest.mark.parametrize("command", ["p4", "transvection"])
+    def test_empty_payload_exit_2(self, capsys, command):
+        """An empty --json is a malformed payload, not an absent one."""
+        code, data = run_json(capsys, "witness", command, "--json", "")
+        assert code == 2
+        assert data["error"] == "usage"
+        assert data["detail"].startswith("malformed JSON payload")
+
     def test_missing_payload_exit_2(self, capsys):
         code, data = run_json(capsys, "elem", "check", "--spec", "U")
         assert code == 2
@@ -564,6 +572,18 @@ GOLDEN = [
     pytest.param(["elem", "spinor", "--spec", _K3, "--json", _K3_ISOMETRY], 0,
                  "8f51ea49f029a2ffdf2fba980c9e71da19b8821aa99b3beb5e411d16c0e31e5d",
                  id="spinor-k3"),
+    # recorded before congruence_diagonalize ran on Vec columns: the
+    # signature at rank 21, and a Gram matrix with no nonzero diagonal
+    # entry, where every pivot comes from the hyperbolic step
+    pytest.param(["lattice", "info", "--spec", "2U+2E8(-1)+<-2>"], 0,
+                 "f17c2378cccb4f56b33e0413fd33798a3432a8a325a4c1abadbdd4040e488ca4",
+                 id="info-k3"),
+    pytest.param(["lattice", "info", "--spec", "2U+U(3)"], 0,
+                 "b26099d1a2d56fa6ca8613d15ab31e2f77e9d9586b7538c5024f81c0247e16f3",
+                 id="info-2U+U(3)"),
+    pytest.param(["lattice", "kneser", "--spec", "2U+2E8(-1)+<-6>"], 0,
+                 "a52d5a1ef0831a13fe0eb00db4b4f95c13a8c4cb861c9610994fd2d8c5aac3b8",
+                 id="kneser-k3-<-6>"),
 ]
 
 

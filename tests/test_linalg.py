@@ -226,7 +226,92 @@ class TestSolve:
         assert solved and failed
 
 
+def reference_congruence_diagonalize(g: Mat) -> tuple[Mat, Mat]:
+    """The elimination on lists of Fractions that congruence_diagonalize
+    ran before it held P as Vec columns: the same pivot rules, with every
+    column operation mirrored on the rows of A = P^T G P."""
+    if not g.is_symmetric():
+        raise ValueError("congruence diagonalization needs a symmetric matrix")
+    n = g.n
+    a = [[Fraction(g[i, j]) for j in range(n)] for i in range(n)]
+    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+    def col_add(dst, src, f):
+        # col_dst += f * col_src, same on rows of a to keep symmetry
+        for i in range(n):
+            a[i][dst] += f * a[i][src]
+        for j in range(n):
+            a[dst][j] += f * a[src][j]
+        for i in range(n):
+            p[i][dst] += f * p[i][src]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        a[i], a[j] = a[j], a[i]
+        for r in p:
+            r[i], r[j] = r[j], r[i]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if piv is not None:
+                col_swap(k, piv)
+            else:
+                hyp = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                           None)
+                if hyp is None:
+                    raise DegenerateFormError("form is degenerate")
+                col_add(hyp[0], hyp[1], Fraction(1))
+                if hyp[0] != k:
+                    col_swap(k, hyp[0])
+        piv = a[k][k]
+        for j in range(k + 1, n):
+            if a[k][j]:
+                col_add(j, k, -a[k][j] / piv)
+    return Mat(p), Mat(a)
+
+
+def diagonalize_outcome(f, g):
+    """P and D, or the type and message of the error raised."""
+    try:
+        return f(g)
+    except (ValueError, DegenerateFormError) as exc:
+        return type(exc), str(exc)
+
+
 class TestCongruence:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 7), data=st.data())
+    def test_matches_reference(self, n, data):
+        """P and D, or the error, are exactly those of the Fraction-list
+        elimination.  Half the draws are B D B^T of rank at most r (as in
+        test_raises_exactly_on_singular), and half get a zero diagonal."""
+        small = st.integers(-2, 2)
+        if n and data.draw(st.booleans()):
+            r = data.draw(st.integers(1, n))
+            b = data.draw(st.lists(st.lists(small, min_size=r, max_size=r),
+                                   min_size=n, max_size=n))
+            d = data.draw(st.lists(small.filter(bool), min_size=r, max_size=r))
+            rows = [[sum(b[i][k] * d[k] * b[j][k] for k in range(r)) for j in range(n)]
+                    for i in range(n)]
+        else:
+            upper = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                       min_size=n, max_size=n))
+            rows = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if data.draw(st.booleans()):  # no diagonal pivot: the hyperbolic step
+            for i in range(n):
+                rows[i][i] = 0
+        g = Mat(rows)
+        assert (diagonalize_outcome(congruence_diagonalize, g)
+                == diagonalize_outcome(reference_congruence_diagonalize, g))
+
+    def test_non_symmetric_matches_reference(self):
+        g = Mat([[1, 2], [3, 4]])
+        got = diagonalize_outcome(congruence_diagonalize, g)
+        assert got == diagonalize_outcome(reference_congruence_diagonalize, g)
+        assert got[0] is ValueError
+
     def test_hyperbolic_plane(self):
         g = Mat([[0, 1], [1, 0]])
         p, d = congruence_diagonalize(g)
