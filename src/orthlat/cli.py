@@ -264,6 +264,9 @@ def cmd_jacobi_embed(args) -> dict:
 def cmd_jacobi_verify(args) -> dict:
     import random
 
+    for t in args.paramodular:
+        if t < 1:
+            raise UsageError(f"--paramodular needs levels t >= 1, got {t}")
     _, split = _jacobi_context(args)
     rng = random.Random(args.seed)
     n0 = len(split.l0_indices)

@@ -1,13 +1,12 @@
 """Transvection groups attached to a hyperbolic splitting L = U + U1 + L0.
 
-Everything here produces *words* in the transvections t(e, a), t(f, a)
-with a in L1 = U1 + L0, so that each result certifies its own subgroup
-membership: moving a vector into L1 by Euclidean reduction of its
-2x2 plane coordinates, deciding equivalence of primitive vectors by
-(norm, discriminant class), transporting one vector to another,
-trimming an isometry down to the complement of U, rewriting an
-arbitrary root reflection against a fixed anchor mirror, and a census
-of roots by orbit invariant.
+Words here are in the transvections t(e, a), t(f, a) with a in
+L1 = U1 + L0, so that each word certifies its own subgroup membership.
+The module moves a vector into L1 by Euclidean reduction of its 2x2
+plane coordinates, reads off the orbit invariant (norm, discriminant
+class) that decides equivalence of primitive vectors, transports one
+vector to another, rewrites a root reflection against a fixed anchor
+mirror, and counts roots by orbit invariant.
 """
 
 from __future__ import annotations
@@ -19,17 +18,10 @@ from orthlat.errors import (
     EquivalenceFailsError,
     InternalSolveFailureError,
     MissingSplittingError,
-    NotIntegralIsometryError,
     NotPrimitiveError,
     NotRootError,
-    UnsupportedCoordinatesError,
 )
-from orthlat.isometry import (
-    GroupWord,
-    Isometry,
-    TransvectionAtom,
-    reflection,
-)
+from orthlat.isometry import GroupWord, TransvectionAtom, reflection
 from orthlat.lattice import Lattice, plane_defect
 from orthlat.linalg import Mat, Vec, solve_linear
 
@@ -185,19 +177,6 @@ def _reduce_into_l1(split: HyperbolicSplitting, v: Vec) -> tuple[list[Transvecti
     return red.applied, Vec(image)
 
 
-def so22_reduce(split: HyperbolicSplitting, v) -> tuple[GroupWord, Vec]:
-    """Word in the four plane transvections mapping v (supported on
-    U + U1) into U1; the image has the same norm."""
-    v = Vec(v)
-    if any(v[i] for i in split.l0_indices):
-        raise UnsupportedCoordinatesError("vector is not supported on the two planes")
-    applied, image = _reduce_into_l1(split, v)
-    word = GroupWord(split.lattice, tuple(reversed(applied)))
-    if word.apply(v) != image:
-        raise InternalSolveFailureError("plane reduction failed to verify")
-    return word, image
-
-
 # ---------------------------------------------------------------------
 # the equivalence criterion and its constructive witness
 
@@ -222,17 +201,12 @@ def orbit_invariant(lattice: Lattice, v) -> OrbitInvariant:
 
 
 def invariant_pair(split: HyperbolicSplitting, u, v) -> tuple[OrbitInvariant, OrbitInvariant]:
-    """orbit_invariant of u and of v, one integer pass each."""
+    """orbit_invariant of u and of v, one integer pass each; u and v are
+    equivalent exactly when the two keys agree."""
     try:
         return orbit_invariant(split.lattice, u), orbit_invariant(split.lattice, v)
     except NotPrimitiveError:
         raise NotPrimitiveError("equivalence applies to primitive vectors") from None
-
-
-def eichler_equivalent(split: HyperbolicSplitting, u, v) -> bool:
-    """Same norm and same class of u*/v* in D(L)."""
-    iu, iv = invariant_pair(split, u, v)
-    return iu.key() == iv.key()
 
 
 def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
@@ -283,30 +257,6 @@ def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
     if word.apply(u) != v:
         raise InternalSolveFailureError("transport witness failed to verify")
     return word
-
-
-def stabilize_plane(split: HyperbolicSplitting, g: Isometry) -> tuple[GroupWord, Isometry]:
-    """tau with eval(tau) * g acting as the identity on U; the second
-    return is that product, an isometry supported on the complement."""
-    lat = split.lattice
-    if not g.is_integral():
-        raise NotIntegralIsometryError("stabilization needs an integral isometry")
-    tau = transport_witness(split, g.apply(split.e), split.e)
-    g1 = tau.evaluate() * g
-    ftilde = g1.apply(split.f)
-    alpha = lat.inner(split.f, ftilde)
-    beta = lat.inner(split.e, ftilde)
-    if beta != 1:
-        raise InternalSolveFailureError("pairing with e was not preserved")
-    b = ftilde - alpha * split.e - split.f
-    if 2 * alpha != -lat.norm(b):
-        raise InternalSolveFailureError("complement component has wrong square")
-    if not b.is_zero():
-        tau = GroupWord(lat, (TransvectionAtom(split.e, -b),) + tau.atoms)
-    h = tau.evaluate() * g
-    if h.apply(split.e) != split.e or h.apply(split.f) != split.f:
-        raise InternalSolveFailureError("stabilization failed to fix the plane")
-    return tau, h
 
 
 def rewrite_reflection(split: HyperbolicSplitting, r, mirror=None) -> GroupWord:

@@ -69,10 +69,6 @@ class WrongNormError(OrthlatError):
     code = "wrong-norm"
 
 
-class UnsupportedCoordinatesError(OrthlatError):
-    code = "unsupported-coordinates"
-
-
 class NotRootError(OrthlatError):
     code = "not-root"
 
@@ -87,7 +83,3 @@ class EquivalenceFailsError(OrthlatError):
 
 class InternalSolveFailureError(OrthlatError):
     code = "internal-solve-failure"
-
-
-class NotIntegralIsometryError(OrthlatError):
-    code = "not-integral-isometry"

@@ -8,6 +8,10 @@ top-left companion block making the embedding an isometry, and it
 reproduces the generator identities t(e, f1) = [(1 1; 0 1)],
 t(f, e1) = [(1 0; -1 1)], t(e, v) = [0, v; 0], t(e1, u) = [u, 0; 0]
 and t(e, e1) = [0, 0; 1] exactly.
+
+The module builds these blocks from their parameters, checks the
+generator, S and sigma1 identities among them, and checks the 5x5
+involution pair of the rank-5 family 2U + <-2t>.
 """
 
 from __future__ import annotations
@@ -86,29 +90,6 @@ def heis_embed(split: HyperbolicSplitting, u, v, z: int) -> Isometry:
     wu = -uf - Fraction(lat.norm(uf), 2) * e1 + z * e
     wv = -vf - (lat.inner(uf, vf) + z) * e1 - Fraction(lat.norm(vf), 2) * e
     return Isometry(lat, rank_update(lat, [(1, e, wv), (1, e1, wu), (1, uf, e1), (1, vf, e)]))
-
-
-def heis_decompose(split: HyperbolicSplitting, g: Isometry) -> tuple[list, list, int]:
-    """Read (u, v, z) off a Heisenberg-shaped matrix; raises ValueError
-    when the matrix does not reproduce."""
-    n = split.lattice.rank
-    u = [int(g.mat[i, n - 2]) for i in split.l0_indices]
-    v = [int(g.mat[i, n - 1]) for i in split.l0_indices]
-    z = int(g.mat[1, n - 1])
-    if heis_embed(split, u, v, z) != g:
-        raise ValueError("matrix is not of Heisenberg form")
-    return u, v, z
-
-
-def jacobi_decompose(split: HyperbolicSplitting, g: Isometry) -> tuple[Mat, list, list, int]:
-    """Write g as [A] [u, v; z], reading A off the (f1, f) block; raises
-    ValueError when g is not of that shape."""
-    n = split.lattice.rank
-    a = Mat([[g.mat[n - 2 + i, n - 2 + j] for j in range(2)] for i in range(2)])
-    if not a.is_integral() or a.det() != 1:
-        raise ValueError("matrix is not of Jacobi form")
-    u, v, z = heis_decompose(split, jacobi_embed(split, a).inverse() * g)
-    return a, u, v, z
 
 
 def s_element(split: HyperbolicSplitting) -> Isometry:

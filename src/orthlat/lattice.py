@@ -150,7 +150,7 @@ class Lattice:
         _, s, _ = self.snf()
         return sum(1 for i in range(self.rank) if int(s[i, i]) % p)
 
-    # -- divisors and primitivity -------------------------------------
+    # -- divisors ------------------------------------------------------
     def divisor(self, v) -> int:
         """Positive generator of the ideal of inner products (v, L) of a
         nonzero lattice vector; a non-integral v raises NotIntegralError."""
@@ -160,11 +160,6 @@ class Lattice:
         if not v.is_integral():
             raise NotIntegralError("divisor of a non-integral vector")
         return self.gram_apply(v).content()
-
-    def is_primitive(self, v) -> bool:
-        """Whether v is a lattice vector (integral) with content 1."""
-        v = Vec(v)
-        return v.is_integral() and v.content() == 1
 
     # -- enumeration ----------------------------------------------------
     def half_space_vectors(self, norm, box, tally: bool = False) -> list:
@@ -317,12 +312,13 @@ def build(spec: str) -> Lattice:
         m = _TERM_RE.match(term)
         if not m:
             raise SpecParseError(f"cannot parse block term {term!r}")
+        count = int(m.group(1) or m.group(4) or "1")
+        if count == 0:
+            raise SpecParseError(f"zero block count in {term!r}")
         if m.group(2):
-            count = int(m.group(1) or "1")
             scale = int(m.group(3) or "1")
             terms.extend((m.group(2), None, scale) for _ in range(count))
         else:
-            count = int(m.group(4) or "1")
             terms.extend(("gen", int(m.group(5)), 1) for _ in range(count))
     if not terms:
         raise SpecParseError("empty lattice spec")

@@ -387,6 +387,13 @@ class TestJacobiWitness:
         assert data["allPass"]
         assert data["stableGroupGenerators"]["extra"] == "sigma_(e1-f1)"
 
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_verify_refuses_level_below_one(self, capsys, t):
+        # t = -1 would build 2U+<2>, which is not in the family 2U+<-2t>
+        code, data = run_json(capsys, "jacobi", "verify", "--paramodular", "1", t)
+        assert (code, data) == (2, {"error": "usage",
+                                    "detail": f"--paramodular needs levels t >= 1, got {t}"})
+
     def test_witness_p4(self, capsys):
         code, data = run_json(capsys, "witness", "p4", "--spec", "<-2>")
         assert code == 0

@@ -16,12 +16,10 @@ from orthlat.eichler import (
     _nearest_quotient,
     _PlaneReducer,
     _reduce_into_l1,
-    eichler_equivalent,
+    invariant_pair,
     orbit_invariant,
     rewrite_reflection,
     root_orbit_census,
-    so22_reduce,
-    stabilize_plane,
     standard_splitting,
     transport_witness,
 )
@@ -32,14 +30,13 @@ from orthlat.errors import (
     NotPrimitiveError,
     NotRootError,
     TooLargeError,
-    UnsupportedCoordinatesError,
 )
 from orthlat import eichler, kernels
-from orthlat.isometry import Isometry, TransvectionAtom, membership, reflection, transvection
+from orthlat.isometry import GroupWord, TransvectionAtom, membership, reflection, transvection
 from orthlat.jacobi import jacobi_lattice
 from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat, Vec
-from orthlat.sampling import mixed_word, transvection_word
+from orthlat.sampling import transvection_word
 from orthlat.suite import IDENTITY_LATTICES
 
 
@@ -84,42 +81,45 @@ class TestSplitting:
 
 
 class TestSo22Reduce:
+    """The plane reduction as a word in the four plane transvections:
+    it maps v to its image in L1, keeps the norm and is integral."""
+
+    @staticmethod
+    def reduce(split, v):
+        atoms, image = _reduce_into_l1(split, Vec(v))
+        return GroupWord(split.lattice, tuple(reversed(atoms))), image
+
     def test_already_in_u1(self, l5):
         _, split = l5
-        word, image = so22_reduce(split, [0, 0, 1, 0, 0])
+        word, image = self.reduce(split, [0, 0, 1, 0, 0])
         assert len(word) == 0
         assert image == Vec([0, 0, 1, 0, 0])
 
     def test_e_goes_isotropic(self, l5):
         lat, split = l5
         v = Vec([1, 0, 0, 0, 0])
-        word, image = so22_reduce(split, v)
+        word, image = self.reduce(split, v)
         assert word.apply(v) == image
         assert lat.inner(image, split.e) == lat.inner(image, split.f) == 0
         # support stays inside the second plane
         assert all(image[i] == 0 for i in range(lat.rank)
                    if i not in split.u1_idx)
         assert lat.norm(image) == 0
-        assert lat.is_primitive(image)
+        assert image.is_integral() and image.content() == 1
 
     def test_norm_preserved(self, l5):
         lat, split = l5
         v = Vec([1, 0, 0, 1, 0])
-        word, image = so22_reduce(split, v)
+        word, image = self.reduce(split, v)
         assert lat.norm(image) == 0
         assert word.apply(v) == image
-
-    def test_rejects_support_outside_planes(self, l5):
-        _, split = l5
-        with pytest.raises(UnsupportedCoordinatesError):
-            so22_reduce(split, [1, 0, 0, 0, 1])
 
     def test_random(self, l5):
         lat, split = l5
         rng = random.Random(50)
         for _ in range(100):
             v = Vec([rng.randint(-9, 9) for _ in range(4)] + [0])
-            word, image = so22_reduce(split, v)
+            word, image = self.reduce(split, v)
             assert word.apply(v) == image
             assert lat.inner(image, split.e) == lat.inner(image, split.f) == 0
             assert lat.norm(image) == lat.norm(v)
@@ -229,24 +229,31 @@ class TestReduceIntoL1:
         assert all(image[i] == v[i] for i in split.l0_indices)
 
 
+def equivalent(split, u, v):
+    """The answer `orbit equiv` prints: whether the orbit invariants of
+    u and v have the same key."""
+    iu, iv = invariant_pair(split, u, v)
+    return iu.key() == iv.key()
+
+
 class TestEquivalence:
     def test_reflexive(self, l5):
         _, split = l5
-        assert eichler_equivalent(split, [1, 0, 0, 0, 0], [1, 0, 0, 0, 0])
+        assert equivalent(split, [1, 0, 0, 0, 0], [1, 0, 0, 0, 0])
 
     def test_e_and_f(self, l5):
         _, split = l5
-        assert eichler_equivalent(split, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+        assert equivalent(split, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
 
     def test_different_classes(self, l5):
         lat, split = l5
         # e - f has class 0; the rank-one generator has class of order 2
-        assert not eichler_equivalent(split, [1, -1, 0, 0, 0], [0, 0, 0, 0, 1])
+        assert not equivalent(split, [1, -1, 0, 0, 0], [0, 0, 0, 0, 1])
 
     def test_requires_primitive(self, l5):
         _, split = l5
         with pytest.raises(NotPrimitiveError):
-            eichler_equivalent(split, [2, 0, 0, 0, 0], [1, 0, 0, 0, 0])
+            equivalent(split, [2, 0, 0, 0, 0], [1, 0, 0, 0, 0])
 
 
 class TestTransport:
@@ -309,50 +316,6 @@ class TestTransport:
             u = rng.choice(roots)
             w = transvection_word(split, rng, rng.randint(0, 4))
             assert orbit_invariant(lat, w.apply(u)).key() == orbit_invariant(lat, u).key()
-
-
-class TestStabilize:
-    def test_identity(self, l5):
-        lat, split = l5
-        tau, h = stabilize_plane(split, Isometry.identity(lat))
-        assert len(tau) == 0
-        assert h == Isometry.identity(lat)
-
-    def test_block_isometry_recovered(self, l5):
-        lat, split = l5
-        # g acting only on the complement of U: reflection in e1 - f1
-        g = reflection(lat, [0, 0, 1, -1, 0])
-        tau, h = stabilize_plane(split, g)
-        assert tau.evaluate() * g == h
-        assert h.apply(split.e) == split.e and h.apply(split.f) == split.f
-
-    def test_transvection_input(self, l5):
-        lat, split = l5
-        g = transvection(lat, split.f, Vec([0, 0, 1, 2, 1]))
-        tau, h = stabilize_plane(split, g)
-        assert tau.evaluate() * g == h
-        assert h.apply(split.e) == split.e and h.apply(split.f) == split.f
-        # reconstruction is exact
-        assert tau.evaluate().inverse() * h == g
-
-    def test_random_words(self, l5):
-        lat, split = l5
-        rng = random.Random(52)
-        for _ in range(10):
-            g = mixed_word(split, rng, rng.randint(1, 5)).evaluate()
-            tau, h = stabilize_plane(split, g)
-            assert tau.evaluate() * g == h
-            assert h.apply(split.e) == split.e and h.apply(split.f) == split.f
-            assert tau.is_integral()
-
-    def test_rejects_rational_isometry(self, l5):
-        from orthlat.errors import NotIntegralIsometryError
-
-        lat, split = l5
-        g = reflection(lat, Vec([1, 2, 0, 0, 0]))  # mirror of square 4
-        assert not g.is_integral()
-        with pytest.raises(NotIntegralIsometryError):
-            stabilize_plane(split, g)
 
 
 class TestRewrite:
@@ -560,7 +523,7 @@ def class_of_reference(lat, v):
     """Class of v/div(v): divide by the divisor in Fractions and reduce
     the dual vector through class_of_dual."""
     v = Vec(v)
-    if not lat.is_primitive(v):
+    if not (v.is_integral() and v.content() == 1):
         raise NotPrimitiveError("class_of needs a primitive vector")
     return discriminant_form(lat).class_of_dual(v / lat.divisor(v))
 
@@ -669,7 +632,7 @@ class TestEquivalenceOracle:
             rng = random.Random(seed)
             v = list(transvection_word(split, rng, rng.randint(0, 4)).apply(u))
         expected = lat.norm(u) == lat.norm(v) and class_of(lat, u) == class_of(lat, v)
-        assert eichler_equivalent(split, u, v) == expected
+        assert equivalent(split, u, v) == expected
 
 
 # ---------------------------------------------------------------------

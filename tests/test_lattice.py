@@ -100,7 +100,8 @@ class TestBuilders:
             build("<3>")
 
     def test_bad_spec(self):
-        for bad in ("", "3Q", "U+", "A3"):
+        # a zero block count or rescaling would drop or zero its block
+        for bad in ("", "3Q", "U+", "A3", "0U+<-2>", "2U+0<-2>", "0A2(-3)+U", "00E8", "U(0)"):
             with pytest.raises(SpecParseError):
                 build(bad)
 
@@ -201,20 +202,12 @@ class TestDivisor:
         u = build("U")
         assert u.divisor([1, 0]) == 1
         assert u.divisor([2, 0]) == 2
-        assert not u.is_primitive([2, 0])
-        assert u.is_primitive([1, 0])
         lat = build("2U+<-6>")
         assert lat.divisor([0, 0, 0, 0, 1]) == 6
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
             build("U").divisor([0, 0])
-
-    def test_rational_vector_is_not_primitive(self):
-        u = build("U")
-        assert not u.is_primitive([Fraction(1, 2), 0])
-        assert not u.is_primitive([Fraction(1, 2), 1])
-        assert u.is_primitive([Fraction(2, 2), 0])
 
     def test_divisor_divides_det(self):
         lat = build("2U+<-4>")
