@@ -154,25 +154,29 @@ def cmd_lattice_census(args) -> dict:
     }
 
 
+def _cap(args) -> int:
+    if args.cap < 1:
+        raise UsageError(f"--cap needs a bound >= 1, got {args.cap}")
+    return args.cap
+
+
 def cmd_disc_form(args) -> dict:
+    cap = _cap(args)
     lat = _load_lattice(args)
     form = discform.discriminant_form(lat)
     gens = discform.identity_automorphism(form).images
-    if len(form) <= args.cap:
-        aut_order = len(discform.enumerate_orth_d(form, args.cap))
-    else:
-        aut_order = None
     return {
         "orders": [str(d) for d in form.orders],
         "q": [str(form.q(g)) for g in gens],
-        "autOrder": aut_order,
+        "autOrder": len(discform.enumerate_orth_d(form, cap)) if len(form) <= cap else None,
     }
 
 
 def cmd_disc_autgroup(args) -> dict:
+    cap = _cap(args)
     lat = _load_lattice(args)
     form = discform.discriminant_form(lat)
-    auts = discform.enumerate_orth_d(form, args.cap)
+    auts = discform.enumerate_orth_d(form, cap)
     return {
         "orders": [str(d) for d in form.orders],
         "order": len(auts),
@@ -353,14 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice_census)
 
     disc = top.add_parser("disc").add_subparsers(dest="cmd", required=True)
-    p = disc.add_parser("form")
-    _add_lattice_args(p)
-    p.add_argument("--cap", type=int, default=10000)
-    p.set_defaults(func=cmd_disc_form)
-    p = disc.add_parser("autgroup")
-    _add_lattice_args(p)
-    p.add_argument("--cap", type=int, default=10000)
-    p.set_defaults(func=cmd_disc_autgroup)
+    for name, fn in (("form", cmd_disc_form), ("autgroup", cmd_disc_autgroup)):
+        p = disc.add_parser(name)
+        _add_lattice_args(p)
+        p.add_argument("--cap", type=int, default=10000)
+        p.set_defaults(func=fn)
 
     elem = top.add_parser("elem").add_subparsers(dest="cmd", required=True)
     for name, fn in (("check", cmd_elem_check), ("spinor", cmd_elem_spinor),

@@ -68,11 +68,10 @@ def verify_master_identity(split: HyperbolicSplitting, w, s) -> bool:
     c = 1 - s * Fraction(lat.norm(w)) / 2
     if c == 0:
         raise SingularScaleError("1 - s(w,w)/2 vanishes")
-    lhs = transvection(lat, split.f, s * w) * transvection(lat, split.e, w)
-    rhs = (transvection(lat, split.e, (1 / c) * w)
-           * transvection(lat, split.f, (s * c) * w)
-           * p_map(split, c * c))
-    return lhs == rhs
+    lhs = GroupWord(lat, (TransvectionAtom(split.f, s * w), TransvectionAtom(split.e, w)))
+    rhs = GroupWord(lat, (TransvectionAtom(split.e, (1 / c) * w),
+                          TransvectionAtom(split.f, (s * c) * w)))
+    return lhs.evaluate() == rhs.evaluate() * p_map(split, c * c)
 
 
 @dataclass(frozen=True)

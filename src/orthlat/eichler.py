@@ -21,7 +21,7 @@ from orthlat.errors import (
     NotPrimitiveError,
     NotRootError,
 )
-from orthlat.isometry import GroupWord, TransvectionAtom, reflection
+from orthlat.isometry import GroupWord, ReflectionAtom, TransvectionAtom, reflection
 from orthlat.lattice import Lattice, plane_defect
 from orthlat.linalg import Mat, Vec, solve_linear
 
@@ -279,7 +279,7 @@ def rewrite_reflection(split: HyperbolicSplitting, r, mirror=None) -> GroupWord:
         rho_r = _rewrite_against_ef(split, r)
         rho_m = _rewrite_against_ef(split, anchor)
         rho = rho_r.then(rho_m.inverse())
-    if rho.evaluate() * reflection(lat, anchor) != reflection(lat, r):
+    if GroupWord(lat, rho.atoms + (ReflectionAtom(anchor),)).evaluate() != reflection(lat, r):
         raise InternalSolveFailureError("reflection rewrite failed to verify")
     return rho
 

@@ -66,11 +66,6 @@ class Isometry:
             raise ValueError("isometries live on different lattices")
         return Isometry._trusted(self.lattice, self.mat @ other.mat)
 
-    def inverse(self) -> "Isometry":
-        """g^-1 = G^-1 g^T G, which holds because g^T G g = G."""
-        lat = self.lattice
-        return Isometry._trusted(lat, lat.gram_inverse() @ (self.mat.transpose() @ lat.gram))
-
     def __eq__(self, other):
         return isinstance(other, Isometry) and self.mat == other.mat \
             and self.lattice == other.lattice
@@ -347,11 +342,11 @@ def _orthogonal_basis(lattice: Lattice, order=None) -> list[Vec]:
     n = lattice.rank
     order = list(range(n) if order is None else order)
     gram = lattice.gram._ents
-    p, _ = congruence_diagonalize(
+    cols, _ = congruence_diagonalize(
         Mat._raw(n, n, [gram[i * n + j] for i in order for j in order], 1))
-    # row k of P holds coordinate order[k] of every basis vector
-    where = {i: k for k, i in enumerate(order)}
-    return [Vec._raw([p._ents[where[i] * n + j] for i in range(n)], p._den) for j in range(n)]
+    # entry k of a column is coordinate order[k]: coordinate i is entry where[i]
+    where = sorted(range(n), key=order.__getitem__)
+    return [Vec._raw([c._ents[k] for k in where], c._den) for c in cols]
 
 
 def cartan_dieudonne(g: Isometry, order=None) -> list[Vec]:

@@ -21,8 +21,15 @@ from fractions import Fraction
 
 from orthlat.eichler import HyperbolicSplitting, standard_splitting
 from orthlat.errors import NotUnimodularError
-from orthlat.isometry import Isometry, rank_update, reflection, transvection
-from orthlat.lattice import Lattice
+from orthlat.isometry import (
+    GroupWord,
+    Isometry,
+    ReflectionAtom,
+    TransvectionAtom,
+    rank_update,
+    transvection,
+)
+from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat, Vec
 
 
@@ -133,11 +140,9 @@ def sigma1_conjugation_sign(split: HyperbolicSplitting) -> int:
 
     The composite maps e to -f, so s = -1 under this basis convention;
     computed rather than assumed."""
-    lat = split.lattice
-    s1 = reflection(lat, split.e1 - split.f1)
+    s1 = ReflectionAtom(split.e1 - split.f1).to_isometry(split.lattice)
     s = s_element(split)
-    gamma = s * s1 * s * s1
-    img = gamma.apply(split.e)
+    img = (s * s1 * s * s1).apply(split.e)
     if img == -split.f:
         return -1
     if img == split.f:
@@ -148,7 +153,8 @@ def sigma1_conjugation_sign(split: HyperbolicSplitting) -> int:
 def verify_plane_identities(split: HyperbolicSplitting, vectors=()) -> list[IdentityCheck]:
     """S^2, the sigma1 conjugations, and the generator correspondences."""
     lat = split.lattice
-    s1 = reflection(lat, split.e1 - split.f1)
+    r1 = ReflectionAtom(split.e1 - split.f1)
+    s1 = r1.to_isometry(lat)
     s = s_element(split)
     checks = sl2_generator_checks(split)
     checks.append(IdentityCheck("S(e)=-e1, S(f)=-f1",
@@ -157,16 +163,14 @@ def verify_plane_identities(split: HyperbolicSplitting, vectors=()) -> list[Iden
                                 s * s == jacobi_embed(split, Mat([[-1, 0], [0, -1]]))))
     checks.append(IdentityCheck(
         "s1 t(f,e1) s1 == t(f,f1)",
-        s1 * transvection(lat, split.f, split.e1) * s1 == transvection(lat, split.f, split.f1)))
+        GroupWord(lat, (r1, TransvectionAtom(split.f, split.e1), r1)).evaluate()
+        == transvection(lat, split.f, split.f1)))
     sign = sigma1_conjugation_sign(split)
     gamma = s * s1 * s * s1
-    ok = True
-    for u in vectors:
-        uf = _lift_l0(split, u)
-        lhs = gamma * transvection(lat, split.e, uf) * gamma.inverse()
-        if lhs != transvection(lat, split.f, sign * uf):
-            ok = False
-            break
+    # gamma t gamma^-1 == t' checked as gamma t == t' gamma
+    ok = all(gamma * transvection(lat, split.e, uf)
+             == transvection(lat, split.f, sign * uf) * gamma
+             for uf in (_lift_l0(split, u) for u in vectors))
     checks.append(IdentityCheck(
         f"(S s1 S s1) t(e,u) (S s1 S s1)^-1 == t(f,{sign:+d}*u)", ok,
         note=f"conjugation sign {sign:+d}"))
@@ -185,8 +189,13 @@ _FLIP5 = Mat([
 ])
 
 
+def _require_level(t: int) -> None:
+    if t < 1:
+        raise ValueError(f"paramodular level t must be >= 1, got {t}")
+
+
 def paramodular_lattice(t: int):
-    from orthlat.lattice import build
+    _require_level(t)
     return jacobi_lattice(build(f"<{-2 * t}>"))
 
 
@@ -194,7 +203,8 @@ def paramodular_flip_check(t: int) -> list[IdentityCheck]:
     """The 5x5 sign-flip matrix equals the product of the reflections in
     e + f and e1 + f1 (square +2 mirrors), independently of t."""
     lat, split = paramodular_lattice(t)
-    prod = reflection(lat, split.e + split.f) * reflection(lat, split.e1 + split.f1)
+    prod = GroupWord(lat, (ReflectionAtom(split.e + split.f),
+                           ReflectionAtom(split.e1 + split.f1))).evaluate()
     checks = [
         IdentityCheck(f"flip(t={t}) == sigma_(e+f) sigma_(e1+f1)", prod.mat == _FLIP5),
         IdentityCheck("mirrors have square +2",
@@ -207,6 +217,7 @@ def paramodular_flip_check(t: int) -> list[IdentityCheck]:
 def stable_group_generators(t: int) -> dict:
     """Generator list realizing the full modular group of the rank-5
     lattice from the Jacobi subgroup plus one extra reflection."""
+    _require_level(t)
     return {
         "lattice": f"2U+<{-2*t}>",
         "jacobi": ["t(e,f1)", "t(f,e1)", "t(e,e1)", "t(e,g)", "t(e1,g)"],

@@ -129,11 +129,6 @@ class Lattice:
         """det G, computed once by the singularity check in __init__."""
         return self._cache["det"]
 
-    def gram_inverse(self) -> Mat:
-        if "gram_inv" not in self._cache:
-            self._cache["gram_inv"] = self.gram.inv()
-        return self._cache["gram_inv"]
-
     def signature(self) -> tuple[int, int]:
         if "sig" not in self._cache:
             self._cache["sig"] = signature_of(self.gram)

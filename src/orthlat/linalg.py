@@ -203,9 +203,6 @@ class Mat:
         m = self.m
         return Vec._raw(self._ents[i * m:(i + 1) * m], self._den)
 
-    def col(self, j: int) -> Vec:
-        return Vec._raw(self._ents[j::self.m], self._den)
-
     def is_integral(self) -> bool:
         return self._den == 1
 
@@ -440,12 +437,13 @@ def solve_linear(a: Mat, b) -> Vec | None:
     return x
 
 
-def congruence_diagonalize(g: Mat) -> tuple[Mat, Mat]:
-    """P, D with P^T G P == D diagonal, over the rationals.
+def congruence_diagonalize(g: Mat) -> tuple[list[Vec], list[Fraction]]:
+    """Columns p_k and norms d_k with P^T G P == diag(d_k) for the matrix
+    P of columns p_k, over the rationals.
 
-    Symmetric Gaussian elimination on the columns p_k of P, each pairing
-    read off G p_k; when every remaining norm is zero, a hyperbolic
-    column addition creates a pivot first.
+    Symmetric Gaussian elimination on the columns, each pairing read off
+    G p_k; when every remaining norm is zero, a hyperbolic column
+    addition creates a pivot first.
     Raises DegenerateFormError when det G == 0.
     """
     if not g.is_symmetric():
@@ -471,12 +469,11 @@ def congruence_diagonalize(g: Mat) -> tuple[Mat, Mat]:
             c = cols[j].dot(gp)
             if c:
                 cols[j] = cols[j] - cols[k] * (c / diag[k])
-    return (Mat(cols).transpose(),
-            Mat([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+    return cols, diag
 
 
 def signature_of(g: Mat) -> tuple[int, int]:
     """Sign counts (positives, negatives) of the diagonalized form."""
-    _, d = congruence_diagonalize(g)
-    pos = sum(1 for i in range(g.n) if d[i, i] > 0)
+    _, diag = congruence_diagonalize(g)
+    pos = sum(1 for d in diag if d > 0)
     return pos, g.n - pos

@@ -191,6 +191,14 @@ class TestDisc:
         assert code == 0
         assert data["order"] == 4
 
+    @pytest.mark.parametrize("cmd", ["form", "autgroup"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_usage_error(self, capsys, cmd, cap):
+        # a cap below 1 used to answer "autOrder": null, as if the search had hit it
+        code, data = run_json(capsys, "disc", cmd, "--spec", "2U+<-6>", "--cap", cap)
+        assert (code, data) == (2, {"error": "usage",
+                                    "detail": f"--cap needs a bound >= 1, got {cap}"})
+
     def test_form_respects_cap(self, capsys):
         code, data = run_json(capsys, "disc", "form", "--spec", "<-2000>",
                               "--cap", "100")

@@ -36,7 +36,7 @@ class TestPMap:
 
     def test_inverse_scale(self, sp):
         assert p_map(sp, 4) * p_map(sp, Fraction(1, 4)) == Isometry.identity(sp.lattice)
-        assert p_map(sp, 4).inverse() == p_map(sp, Fraction(1, 4))
+        assert p_map(sp, Fraction(1, 4)) * p_map(sp, 4) == Isometry.identity(sp.lattice)
 
     def test_action(self, sp):
         p = p_map(sp, 4)

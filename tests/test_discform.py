@@ -227,8 +227,8 @@ def _mod(x, modulus) -> Fraction:
 
 def oracle_generators(lat):
     u, s, _ = lat.snf()
-    w = (u @ lat.gram).inv()
-    return [w.col(i) for i in range(lat.rank) if int(s[i, i]) != 1]
+    w = (u @ lat.gram).inv().transpose()
+    return [w.row(i) for i in range(lat.rank) if int(s[i, i]) != 1]
 
 
 def oracle_forms(lat):

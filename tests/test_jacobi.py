@@ -3,12 +3,13 @@ import random
 import pytest
 
 from orthlat.errors import NotUnimodularError
-from orthlat.isometry import membership, reflection, transvection
+from orthlat.isometry import Isometry, membership, reflection, transvection
 from orthlat.jacobi import (
     heis_embed,
     jacobi_embed,
     jacobi_lattice,
     paramodular_flip_check,
+    paramodular_lattice,
     s_element,
     sigma1_conjugation_sign,
     sl2_generator_checks,
@@ -138,7 +139,10 @@ class TestHeisenberg:
             z = rng.randint(-2, 2)
             a = Mat([[1, 1], [0, 1]]) if rng.random() < 0.5 else Mat([[0, -1], [1, 0]])
             ja = jacobi_embed(split, a)
-            conj = ja * heis_embed(split, u, v, z) * ja.inverse()
+            (p, q), (r, s) = a.int_rows()
+            ja_inv = jacobi_embed(split, Mat([[s, -q], [-r, p]]))
+            assert ja * ja_inv == Isometry.identity(split.lattice)
+            conj = ja * heis_embed(split, u, v, z) * ja_inv
             heis_decompose(split, conj)  # raises if not of Heisenberg shape
 
     def test_membership_stable_so_plus(self, ja2):
@@ -192,7 +196,6 @@ class TestParamodular:
 
     @pytest.mark.parametrize("t", [1, 2, 5])
     def test_flip_matrix(self, t):
-        from orthlat.jacobi import paramodular_lattice
         lat, split = paramodular_lattice(t)
         prod = reflection(lat, split.e + split.f) * reflection(lat, split.e1 + split.f1)
         assert prod.mat == self.EXPECTED
@@ -200,7 +203,6 @@ class TestParamodular:
         assert prod.det() == 1
 
     def test_mirrors_commute(self):
-        from orthlat.jacobi import paramodular_lattice
         lat, split = paramodular_lattice(3)
         a = reflection(lat, split.e + split.f)
         b = reflection(lat, split.e1 + split.f1)
@@ -209,6 +211,14 @@ class TestParamodular:
     @pytest.mark.parametrize("t", [1, 2, 5])
     def test_check_report(self, t):
         assert all(c.holds for c in paramodular_flip_check(t))
+
+    @pytest.mark.parametrize("t", [0, -1])
+    @pytest.mark.parametrize("f", [paramodular_lattice, paramodular_flip_check,
+                                   stable_group_generators])
+    def test_refuses_level_below_one(self, f, t):
+        # t = -1 would build 2U+<2>, which is not in the family 2U+<-2t>
+        with pytest.raises(ValueError, match=f"t must be >= 1, got {t}"):
+            f(t)
 
     def test_generator_list(self):
         gens = stable_group_generators(2)

@@ -5,8 +5,8 @@ Every reflection, transvection, P(s) and Heisenberg matrix is built by
 elements), and atoms act on vectors through the same terms without
 building a matrix.  The reference oracles below are the direct
 constructions: one image of each basis vector per column, the
-Heisenberg block matrix written out entry by entry, each atom's matrix
-applied to the vector, and Gauss-Jordan inversion.
+Heisenberg block matrix written out entry by entry, and each atom's
+matrix applied to the vector.
 """
 
 import hashlib
@@ -36,7 +36,7 @@ from orthlat.isometry import (
     reflection,
     transvection,
 )
-from orthlat.jacobi import heis_embed, jacobi_embed, jacobi_lattice
+from orthlat.jacobi import heis_embed, jacobi_lattice
 from orthlat.lattice import build, lattice_from_json
 from orthlat.linalg import Mat, Vec
 from orthlat.sampling import (
@@ -154,16 +154,6 @@ def matrix_path(word, v):
     return v
 
 
-def sl2(rng) -> Mat:
-    """Random integral 2x2 matrix of determinant 1, a product of
-    elementary matrices."""
-    m = Mat.identity(2)
-    for _ in range(rng.randint(0, 4)):
-        k = rng.randint(-3, 3)
-        m = m @ Mat([[1, k], [0, 1]] if rng.random() < 0.5 else [[1, 0], [k, 1]])
-    return m
-
-
 class TestRankUpdate:
     @PROPERTY
     @given(spec=specs, data=st.data())
@@ -221,14 +211,14 @@ class TestInverseAtom:
     def test_transvection(self, spec, seed):
         lat, e, a = isotropic_pair(spec, seed)
         atom = TransvectionAtom(e, a)
-        assert atom.inverse().to_isometry(lat) == atom.to_isometry(lat).inverse()
+        assert atom.to_isometry(lat) * atom.inverse().to_isometry(lat) == Isometry.identity(lat)
 
     @PROPERTY
     @given(spec=specs, data=st.data())
     def test_reflection(self, spec, data):
         lat = lattice(spec)
         atom = ReflectionAtom(anisotropic(lat, data))
-        assert atom.inverse().to_isometry(lat) == atom.to_isometry(lat).inverse()
+        assert atom.to_isometry(lat) * atom.inverse().to_isometry(lat) == Isometry.identity(lat)
 
     def test_is_integral(self):
         """An inverse atom is integral exactly when its atom is, however
@@ -312,30 +302,6 @@ class TestIntegralApply:
             Mat.identity(4).apply([bad, 0, 0, 1])
         with pytest.raises(TypeError):
             lat.inner([0, 1, bad, 0], [1, 0, 0, 0])
-
-
-class TestIsometryInverse:
-    @PROPERTY
-    @given(spec=specs, seed=seeds)
-    def test_integral(self, spec, seed):
-        rng = random.Random(seed)
-        g = integral_isometry(standard_splitting(lattice(spec)), rng, rng.randint(0, 6))
-        assert g.inverse().mat == g.mat.inv()
-
-    @PROPERTY
-    @given(l0=st.sampled_from(("<-2>", "A2", "<-6>+<4>")), seed=seeds)
-    def test_jacobi_embed(self, l0, seed):
-        _, split = jacobi_lattice(build(l0))
-        g = jacobi_embed(split, sl2(random.Random(seed)))
-        assert g.inverse().mat == g.mat.inv()
-
-    @PROPERTY
-    @given(spec=specs, seed=seeds, seed2=seeds)
-    def test_rational_transvections(self, spec, seed, seed2):
-        lat, e, a = isotropic_pair(spec, seed)
-        _, e2, a2 = isotropic_pair(spec, seed2)
-        for g in (transvection(lat, e, a), transvection(lat, e, a) * transvection(lat, e2, a2)):
-            assert g.inverse().mat == g.mat.inv()
 
 
 def _t(e, a):

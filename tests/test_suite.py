@@ -8,6 +8,9 @@ from random import Random
 import pytest
 
 from orthlat import suite
+from orthlat.eichler import standard_splitting
+from orthlat.isometry import GroupWord, ReflectionAtom as sigma, TransvectionAtom as t
+from orthlat.lattice import build
 
 
 def counting(fails_on=None):
@@ -61,3 +64,31 @@ class TestIdentityBlock:
         rng = Random(5)
         stream = [rng.random() for _ in range(6)]
         assert draws == {"fails": stream[:2], "holds": stream[2:]}
+
+
+class TestSame:
+    """_same compares the products of two atom tuples, not the tuples."""
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        return standard_splitting(build("2U+A2"))
+
+    def test_equal_products_of_different_words(self, split):
+        lat, e = split.lattice, split.e
+        a, b = split.e1, split.e1 + 2 * split.f1
+        lhs, rhs = (t(e, a), t(e, b)), (t(e, a + b),)
+        assert lhs != rhs
+        assert suite._same(lat, lhs, rhs)
+
+    def test_different_products(self, split):
+        e, a = split.e, split.e1
+        assert not suite._same(split.lattice, (t(e, a),), (t(e, 2 * a),))
+
+    def test_unconjugated_right_side(self, split):
+        # w moves e, so w t(e, a) == t(w e, w a) w, but not t(e, a) w
+        lat, e, a = split.lattice, split.e, split.e1
+        w = (sigma(split.e - split.f), t(split.f, split.f1))
+        we, wa = GroupWord(lat, w).apply(e), GroupWord(lat, w).apply(a)
+        assert we != e
+        assert suite._same(lat, w + (t(e, a),), (t(we, wa),) + w)
+        assert not suite._same(lat, w + (t(e, a),), (t(e, a),) + w)
