@@ -132,12 +132,23 @@ def default_norm_six_vector(split: HyperbolicSplitting) -> Vec:
     return split.e1 + 3 * split.f1
 
 
+def _p4_word(split: HyperbolicSplitting, v6: Vec) -> GroupWord:
+    """t(f, 2 v6) t(e, v6/2) t(f, v6) t(e, v6), which evaluates to P(4)
+    for v6 of square 6 orthogonal to U."""
+    return GroupWord(split.lattice, (
+        TransvectionAtom(split.f, 2 * v6),
+        TransvectionAtom(split.e, Fraction(1, 2) * v6),
+        TransvectionAtom(split.f, v6),
+        TransvectionAtom(split.e, v6),
+    ))
+
+
 def certificate_p4(split: HyperbolicSplitting, v6=None) -> CommutatorCertificate:
     """The four-transvection word evaluating to P(4), built on a vector
     of square 6 orthogonal to U.
 
-    The word t(f, 2 v6) t(e, v6/2) t(f, v6) t(e, v6) is not itself of
-    commutator shape; it is carried as a plain tail."""
+    The word (_p4_word) is not itself of commutator shape; it is
+    carried as a plain tail."""
     if v6 is None:
         v6 = default_norm_six_vector(split)
     v6 = Vec(v6)
@@ -146,13 +157,7 @@ def certificate_p4(split: HyperbolicSplitting, v6=None) -> CommutatorCertificate
         raise WrongNormError("the certificate needs a vector of square 6")
     if lat.inner(v6, split.e) != 0 or lat.inner(v6, split.f) != 0:
         raise WrongNormError("the vector must be orthogonal to U")
-    tail = GroupWord(lat, (
-        TransvectionAtom(split.f, 2 * v6),
-        TransvectionAtom(split.e, Fraction(1, 2) * v6),
-        TransvectionAtom(split.f, v6),
-        TransvectionAtom(split.e, v6),
-    ))
-    return _certified(p_map(split, 4), (), tail,
+    return _certified(p_map(split, 4), (), _p4_word(split, v6),
                       "four-transvection word failed to evaluate to P(4)")
 
 
@@ -163,7 +168,7 @@ def certificate_transvection(split: HyperbolicSplitting, u) -> CommutatorCertifi
     lat = split.lattice
     if lat.inner(u, split.e) != 0:
         raise WrongNormError("u must be orthogonal to e")
-    x = certificate_p4(split).tail.inverse()
+    x = _p4_word(split, default_norm_six_vector(split)).inverse()
     y = GroupWord(lat, (TransvectionAtom(split.e, u / 3),))
     return _certified(transvection(lat, split.e, u), ((x, y),), GroupWord(lat),
                       "transvection certificate failed to verify")

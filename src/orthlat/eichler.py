@@ -12,6 +12,7 @@ mirror, and counts roots by orbit invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from orthlat.discform import DiscElement, discriminant_form
 from orthlat.errors import (
@@ -23,7 +24,7 @@ from orthlat.errors import (
 )
 from orthlat.isometry import GroupWord, ReflectionAtom, TransvectionAtom, reflection
 from orthlat.lattice import Lattice, plane_defect
-from orthlat.linalg import Mat, Vec, solve_linear
+from orthlat.linalg import Vec
 
 
 class HyperbolicSplitting:
@@ -178,6 +179,71 @@ def _reduce_into_l1(split: HyperbolicSplitting, v: Vec) -> tuple[list[Transvecti
 
 
 # ---------------------------------------------------------------------
+# a vector pairing to the divisor: Euclid on one row
+
+def _row_pass_bound(row: list[int]) -> int:
+    """Passes enough for _solve_row on row: 2 B + 2, where B is the
+    largest bit-length of its entries."""
+    return 2 * max(map(abs, row)).bit_length() + 2
+
+
+def _solve_row(row: list[int], d: int) -> list[int] | None:
+    """An integer x with row . x == d, or None when gcd(row) does not
+    divide d.
+
+    This is the Smith form's column Euclid on the 1 x m matrix row,
+    carrying the columns of V: each pass pivots on the smallest nonzero
+    |entry|, lowest index on ties, swaps it to column 0 and subtracts
+    its floor quotient from every other column.  When only the pivot g
+    is left, x = (d / g) V[:, 0], the solution the Smith form gives.
+
+    Floor remainders take the pivot's sign, so after the first pass all
+    entries share one sign and each later step is a remainder of
+    absolute values.  Each pivot is a remainder of the one before, so
+    smaller; and if a pivot p' exceeds half the pivot p before it, p's
+    column is left with |p| - |p'|, nonzero (p' cannot divide p) and
+    below |p| / 2.  So from the first pass on, the pivot two passes
+    later is below half, and a nonzero row whose entries have at most
+    B bits needs at most 2 B passes.  _row_pass_bound allows 2 B + 2,
+    and a pass beyond it raises InternalSolveFailureError."""
+    a, m = list(row), len(row)
+    cols = [[int(i == j) for i in range(m)] for j in range(m)]   # the columns of V
+    bound = _row_pass_bound(a)
+    passes = 0
+    while True:
+        passes += 1
+        if passes > bound:
+            raise InternalSolveFailureError(f"row solve exceeded its bound of {bound} passes")
+        k = None
+        for j, x in enumerate(a):
+            if x and (k is None or abs(x) < abs(a[k])):
+                k = j
+        if k is None:
+            return None
+        if k:
+            a[0], a[k] = a[k], a[0]
+            cols[0], cols[k] = cols[k], cols[0]
+        p, c0, done = a[0], cols[0], True
+        for j in range(1, m):
+            if a[j]:
+                q = a[j] // p
+                if q:
+                    a[j] -= q * p
+                    cols[j] = [y - q * z for y, z in zip(cols[j], c0)]
+                if a[j]:
+                    done = False
+        if done:
+            break
+    g = a[0]
+    if d % g:
+        return None
+    x = [(d // g) * y for y in cols[0]]
+    if sum(map(mul, row, x)) != d:
+        raise InternalSolveFailureError("row solution does not pair to d")
+    return x
+
+
+# ---------------------------------------------------------------------
 # the equivalence criterion and its constructive witness
 
 @dataclass(frozen=True)
@@ -230,15 +296,16 @@ def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
     av, v1 = _reduce_into_l1(split, v)
 
     def pair_to_d(x: Vec) -> Vec:
+        # a y in L1 with (x, y) == d: the vector the Smith form of the
+        # row (G x)|L1 gives, found by _solve_row's one-row Euclid
         gx = lat.gram_apply(x)
         if not gx.is_integral():
             raise InternalSolveFailureError("G x is not integral")
-        row = [gx._ents[i] for i in split.l1_indices]
-        sol = solve_linear(Mat._raw(1, len(row), row, 1), [d])
+        sol = _solve_row([gx._ents[i] for i in split.l1_indices], d)
         if sol is None:
             raise InternalSolveFailureError("no vector pairing to the divisor")
         out = [0] * lat.rank
-        for i, c in zip(split.l1_indices, sol._ents):
+        for i, c in zip(split.l1_indices, sol):
             out[i] = c
         return Vec._raw(out)
 

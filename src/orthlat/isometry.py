@@ -129,37 +129,6 @@ def _left_update(terms, m: Mat) -> Mat:
     return Mat._raw(m.n, cols, [a for row in out for a in row], m._den * d)
 
 
-def apply_terms(lattice: Lattice, terms, v) -> Vec:
-    """terms_matrix(lattice, terms).apply(v) without building the
-    matrix, for terms given as (c, x, G z): each (z, v) is one integer
-    dot product of the numerators of G z and v, and v + sum c (z, v) x
-    is accumulated as integer numerators over one denominator, with no
-    gcd taken while every denominator is 1."""
-    v = Vec(v)
-    w, vd = v._ents, v._den
-    if len(w) != lattice.rank:
-        raise ValueError("shape mismatch")
-    out, den = list(w), vd
-    for c, x, gz in terms:
-        s = sum(map(mul, gz._ents, w))
-        if s:
-            # c (z, v) x is kn / kd times the numerators of x
-            kn, kd = c.numerator * s, c.denominator * gz._den * vd * x._den
-            if kd != 1:
-                g = gcd(kn, kd)
-                kn, kd = kn // g, kd // g
-            if kd != den:
-                d = lcm(den, kd)
-                if d != den:
-                    out = [a * (d // den) for a in out]
-                    den = d
-                kn *= d // kd
-            for i, xi in enumerate(x._ents):
-                if xi:
-                    out[i] += kn * xi
-    return Vec._raw(out, den)
-
-
 def _reflection_terms(lattice: Lattice, a) -> list:
     """The validated term (c, a, G a) of s_a, with (a, a) read off G a."""
     a = Vec(a)
@@ -207,11 +176,8 @@ def transvection(lattice: Lattice, e, a) -> Isometry:
 # words of generators
 
 class _AtomAction:
-    """Atoms act on vectors, and build their matrix, from one set of
-    validated rank-update terms (c, x, G z) per lattice."""
-
-    def act(self, lattice: Lattice, v: Vec) -> Vec:
-        return apply_terms(lattice, self._cached_terms(lattice), v)
+    """Atoms act on vectors in words, and build their matrix, from one
+    set of validated rank-update terms (c, x, G z) per lattice."""
 
     def to_isometry(self, lattice: Lattice) -> Isometry:
         return Isometry._trusted(lattice, terms_matrix(lattice, self._cached_terms(lattice)))
@@ -314,10 +280,44 @@ class GroupWord:
         return GroupWord(self.lattice, self.atoms + other.atoms)
 
     def apply(self, v) -> Vec:
+        """g1(g2(...gk(v))) in one integer pass, with no matrix built.
+
+        v is held as a list of integer numerators over one denominator.
+        Each atom, rightmost first, updates it in place by its cached
+        terms (c, x, G z): every (z, v) is one integer dot product of the
+        numerators of G z and of v as the atom found it, and c (z, v) x
+        is added over the common denominator, with no gcd taken while
+        every denominator is 1.  The result is normalized once.  For a v
+        of the wrong length, an invalid rightmost atom raises its own
+        error before "shape mismatch", as on the matrix path."""
         v = Vec(v)
+        lat = self.lattice
+        if len(v._ents) != lat.rank:
+            if self.atoms:
+                self.atoms[-1]._cached_terms(lat)
+            raise ValueError("shape mismatch")
+        out, den = list(v._ents), v._den
         for atom in reversed(self.atoms):
-            v = atom.act(self.lattice, v)
-        return v
+            terms = atom._cached_terms(lat)
+            vd = den
+            pairings = [sum(map(mul, gz._ents, out)) for _, _, gz in terms]
+            for (c, x, gz), s in zip(terms, pairings):
+                if s:
+                    # c (z, v) x is kn / kd times the numerators of x
+                    kn, kd = c.numerator * s, c.denominator * gz._den * vd * x._den
+                    if kd != 1:
+                        g = gcd(kn, kd)
+                        kn, kd = kn // g, kd // g
+                    if kd != den:
+                        d = lcm(den, kd)
+                        if d != den:
+                            out = [a * (d // den) for a in out]
+                            den = d
+                        kn *= d // kd
+                    for i, xi in enumerate(x._ents):
+                        if xi:
+                            out[i] += kn * xi
+        return Vec._raw(out, den)
 
     def is_integral(self) -> bool:
         return all(a.is_integral() for a in self.atoms)

@@ -7,10 +7,10 @@ the denominator is 1.  Reading an entry gives its canonical scalar, an
 int when integral and a reduced Fraction otherwise.  Equality is exact
 and nothing here ever touches floating point.
 
-Besides the ``Vec``/``Mat`` containers this module provides the three
+Besides the ``Vec``/``Mat`` containers this module provides the two
 integral workhorses used everywhere else: Smith normal form with
-unimodular transforms, integer linear solving, and exact congruence
-diagonalization of symmetric matrices.
+unimodular transforms, and exact congruence diagonalization of
+symmetric matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import mul
 
 from orthlat import kernels
-from orthlat.errors import DegenerateFormError, InternalSolveFailureError
+from orthlat.errors import DegenerateFormError
 
 Scalar = int | Fraction
 
@@ -405,36 +405,6 @@ def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
     return (Mat._raw(n, n, [x for r in u for x in r], 1),
             Mat._raw(n, cols, [x for r in a for x in r], 1),
             Mat._raw(cols, cols, [x for r in v for x in r], 1))
-
-
-def solve_linear(a: Mat, b) -> Vec | None:
-    """An integer solution x of A x = b, or None when none exists (also
-    when some entry of b is not an integer, since A x is integral).
-
-    Entries of b are exact scalars; anything else raises TypeError.  The
-    solution is checked exactly against A x == b before it is returned."""
-    if not a.is_integral():
-        raise ValueError("solve_linear needs an integer matrix")
-    b = Vec(b)
-    if len(b) != a.n:
-        raise ValueError("shape mismatch")
-    if not b.is_integral():
-        return None
-    u, s, v = smith_normal_form(a)
-    y = [0] * a.m
-    for i, ci in enumerate(u.apply(b)):
-        d = s[i, i] if i < min(a.n, a.m) else 0
-        if d == 0:
-            if ci != 0:
-                return None
-        else:
-            if ci % d:
-                return None
-            y[i] = ci // d
-    x = v.apply(Vec._raw(y))
-    if a.apply(x) != b:
-        raise InternalSolveFailureError("solution does not satisfy A x == b")
-    return x
 
 
 def congruence_diagonalize(g: Mat) -> tuple[list[Vec], list[Fraction]]:

@@ -16,6 +16,8 @@ from orthlat.eichler import (
     _nearest_quotient,
     _PlaneReducer,
     _reduce_into_l1,
+    _row_pass_bound,
+    _solve_row,
     invariant_pair,
     orbit_invariant,
     rewrite_reflection,
@@ -38,6 +40,7 @@ from orthlat.lattice import Lattice, build
 from orthlat.linalg import Mat, Vec
 from orthlat.sampling import transvection_word
 from orthlat.suite import IDENTITY_LATTICES
+from test_linalg import solve_linear
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +197,64 @@ class TestReducerBound:
             transport_witness(split, u, v)
 
 
+def fibonacci(k):
+    """F_k and F_(k+1)."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a, b
+
+
+# rows with zeros, ties in |entry| and mixed signs, beside wide entries
+ROW_ENTRIES = st.integers(-6, 6) | st.integers(-(1 << 80), 1 << 80)
+
+
+class TestSolveRow:
+    """The one-row Euclid gives exactly the vector of the Smith-form
+    solver solve_linear, and None exactly where that gives None."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(row=st.lists(ROW_ENTRIES, min_size=1, max_size=19), d=st.integers(1, 12))
+    def test_matches_smith_form_solver(self, row, d):
+        want = solve_linear(Mat([row]), [d])
+        got = _solve_row(row, d)
+        assert got == (None if want is None else list(want))
+
+    @pytest.mark.parametrize("row, d, solvable", [
+        ([0], 1, False), ([0, 0, 0], 5, False), ([4, -6, 10], 1, False),
+        ([4, -6, 10], 2, True), ([3, -3, 3, 0], 3, True), ([-3, 3], 4, False),
+        ([-5], 10, True), ([0, 7, -7, 7], 7, True), ([6, 10, 15], 1, True),
+    ])
+    def test_pinned_cases(self, row, d, solvable):
+        got = _solve_row(row, d)
+        want = solve_linear(Mat([row]), [d])
+        assert (got is not None) == solvable == (want is not None)
+        if solvable:
+            assert got == list(want) and sum(r * x for r, x in zip(row, got)) == d
+
+    @pytest.mark.parametrize("k", [2, 10, 100, 476])
+    def test_fibonacci_rows_within_the_proven_bound(self, k, monkeypatch):
+        """Consecutive Fibonacci numbers make every floor quotient 1, the
+        Euclid's worst case; they stay within 2 B passes, the bound the
+        docstring proves, without its 2 passes of slack."""
+        monkeypatch.setattr(eichler, "_row_pass_bound",
+                            lambda row: 2 * max(map(abs, row)).bit_length())
+        a, b = fibonacci(k)
+        for row in ([b, a], [a, b, 0], [-b, 0, a]):
+            for d in (1, 7):
+                x = _solve_row(row, d)
+                assert x == list(solve_linear(Mat([row]), [d]))
+
+    def test_bound_trips(self, monkeypatch):
+        """The bound is a working self-check: a row that needs more
+        passes than it allows raises."""
+        a, b = fibonacci(12)
+        assert _row_pass_bound([b, a, 0]) > 3
+        monkeypatch.setattr(eichler, "_row_pass_bound", lambda row: 3)
+        with pytest.raises(InternalSolveFailureError, match="exceeded its bound of 3 passes"):
+            _solve_row([b, a, 0], 1)
+
+
 REDUCE_SPLITS = {
     "2U+A2": lambda: standard_splitting(build("2U+A2")),
     "2U+<-10>": lambda: standard_splitting(build("2U+<-10>")),
@@ -212,7 +273,7 @@ class TestReduceIntoL1:
     @staticmethod
     def replay(split, atoms, v):
         for atom in atoms:
-            v = atom.act(split.lattice, v)
+            v = GroupWord(split.lattice, (atom,)).apply(v)
         return v
 
     @pytest.mark.parametrize("kind", sorted(REDUCE_ENTRIES))

@@ -446,7 +446,7 @@ class TestTwoTermTransvection:
         dense = dense_transvection(lat, e, a)
         assert transvection(lat, e, a).mat == dense
         v = rational_vector(lat, rng)
-        assert TransvectionAtom(e, a).act(lat, v) == dense.apply(v)
+        assert GroupWord(lat, (TransvectionAtom(e, a),)).apply(v) == dense.apply(v)
 
     @pytest.mark.parametrize("name", sorted(EVALUATE_SPLITS))
     def test_errors_in_order(self, name):
@@ -460,7 +460,7 @@ class TestTwoTermTransvection:
             with pytest.raises(err):
                 transvection(lat, e, a)
             with pytest.raises(err):
-                TransvectionAtom(e, a).act(lat, split.e)
+                GroupWord(lat, (TransvectionAtom(e, a),)).apply(split.e)
 
 
 def dense_cartan_dieudonne(g: Isometry, order=None) -> list[Vec]:

@@ -15,7 +15,6 @@ from orthlat.linalg import (
     parse_scalar,
     signature_of,
     smith_normal_form,
-    solve_linear,
 )
 
 
@@ -165,7 +164,40 @@ class TestSmith:
         assert [int(s[i, i]) for i in range(2)] == [1, 6]
 
 
+def solve_linear(a: Mat, b) -> Vec | None:
+    """An integer solution x of A x = b read off the Smith form, or None
+    when none exists (also when some entry of b is not an integer, since
+    A x is integral); checked against A x == b before it is returned.
+    The oracle of the transport witness's one-row Euclid,
+    eichler._solve_row."""
+    if not a.is_integral():
+        raise ValueError("solve_linear needs an integer matrix")
+    b = Vec(b)
+    if len(b) != a.n:
+        raise ValueError("shape mismatch")
+    if not b.is_integral():
+        return None
+    u, s, v = linalg.smith_normal_form(a)
+    y = [0] * a.m
+    for i, ci in enumerate(u.apply(b)):
+        d = s[i, i] if i < min(a.n, a.m) else 0
+        if d == 0:
+            if ci != 0:
+                return None
+        else:
+            if ci % d:
+                return None
+            y[i] = ci // d
+    x = v.apply(Vec(y))
+    if a.apply(x) != b:
+        raise InternalSolveFailureError("solution does not satisfy A x == b")
+    return x
+
+
 class TestSolve:
+    """The oracle solve_linear: exact, checked, and None exactly when the
+    Smith form shows an obstruction."""
+
     def test_gcd_row(self):
         x = solve_linear(Mat([[2, 3]]), [1])
         assert x is not None

@@ -42,9 +42,11 @@ from orthlat.linalg import Mat, Vec
 from orthlat.sampling import (
     integral_isometry,
     isotropic_vector,
+    l1_vector,
     mixed_word,
     nonzero_rational,
     orthogonal_to,
+    rational_vector as sampled_vector,
 )
 
 SPECS = ("2U", "2U+<-2>", "2U+A2", "2U+<-6>+<4>")
@@ -241,7 +243,7 @@ class TestAtomAction:
         lat, e, a = isotropic_pair(spec, seed)
         v = rational_vector(lat, data)
         for atom in (TransvectionAtom(e, a), TransvectionAtom(e, a).inverse()):
-            assert atom.act(lat, v) == atom.to_isometry(lat).apply(v)
+            assert GroupWord(lat, (atom,)).apply(v) == atom.to_isometry(lat).apply(v)
 
     @PROPERTY
     @given(spec=specs, data=st.data())
@@ -249,7 +251,7 @@ class TestAtomAction:
         lat = lattice(spec)
         atom = ReflectionAtom(anisotropic(lat, data))
         v = rational_vector(lat, data)
-        assert atom.act(lat, v) == atom.to_isometry(lat).apply(v)
+        assert GroupWord(lat, (atom,)).apply(v) == atom.to_isometry(lat).apply(v)
 
     @PROPERTY
     @given(spec=st.sampled_from(("2U+A2", "2U+<-10>")), seed=seeds, data=st.data())
@@ -261,6 +263,31 @@ class TestAtomAction:
         assert word.apply(v) == word.evaluate().apply(v)
         u = Vec(rng.randint(-9, 9) for _ in range(lat.rank))
         assert word.apply(u) == word.evaluate().apply(u)
+
+    @PROPERTY
+    @given(spec=specs, seed=seeds, length=st.integers(1, 6))
+    def test_rational_word(self, spec, seed, length):
+        """The one-pass action of a word whose atoms and vector have
+        denominators 2 and 3 is each atom's matrix applied in turn."""
+        lat = lattice(spec)
+        split = standard_splitting(lat)
+        rng = random.Random(seed)
+        atoms = []
+        while len(atoms) < length:
+            if rng.random() < 0.3:
+                mirror = sampled_vector(lat, rng)
+                if lat.norm(mirror):
+                    atoms.append(ReflectionAtom(mirror))
+            else:
+                # t(g e, g a) for an integral word g, a in L1 and e = c e or c f
+                g = mixed_word(split, rng, rng.randint(0, 3))
+                base = split.e if rng.random() < 0.5 else split.f
+                c = rng.choice((1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)))
+                atoms.append(TransvectionAtom(g.apply(c * base), g.apply(l1_vector(split, rng))))
+        assert {x._den for at in atoms for x in vars(at).values()} <= {1, 2, 3, 6}
+        word = GroupWord(lat, atoms)
+        v = sampled_vector(lat, rng)
+        assert word.apply(v) == matrix_path(word, v) == word.evaluate().apply(v)
 
 
 class TestWordJson:
@@ -348,6 +375,17 @@ class TestActionErrors:
             matrix_path(word, v)
         assert str(want.value) == message
 
+    @pytest.mark.parametrize("v", [[1, 2, 3, 4], [1, 2, 3, 4, 5, 6], []])
+    def test_empty_word_checks_length(self, v):
+        """The empty word, like its identity matrix, refuses a vector of
+        the wrong length and returns one of the right length."""
+        word = GroupWord(lattice("2U+<-2>"))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            word.apply(v)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            word.evaluate().apply(v)
+        assert word.apply(_F) == word.evaluate().apply(_F) == Vec(_F)
+
     @pytest.mark.parametrize("atoms", WRONG_LENGTH_ATOMS)
     def test_wrong_length_atom(self, atoms):
         word = GroupWord.from_json(lattice("2U+<-2>"), atoms)
@@ -371,7 +409,7 @@ class TestActionErrors:
             messages.append(str(got.value))
         for atom in word.atoms:
             try:
-                atom.act(lat, _F)
+                GroupWord(lat, (atom,)).apply(_F)
                 valid = True
             except (OrthlatError, ValueError):
                 valid = False
@@ -395,15 +433,15 @@ class TestAtomCache:
         lat = build(spec)  # a new object: nothing cached yet
         assert direct(lat).mat == want
         assert atom not in lat._cache.get("atom_terms", {})
-        assert atom.act(lat, v) == want.apply(v)
+        assert GroupWord(lat, (atom,)).apply(v) == want.apply(v)
         assert atom in lat._cache["atom_terms"]
-        assert atom.act(lat, v) == want.apply(v)
+        assert GroupWord(lat, (atom,)).apply(v) == want.apply(v)
         lat = build(spec)
         cold = atom.to_isometry(lat)
         assert atom in lat._cache["atom_terms"]
         assert cold.mat == want
         assert atom.to_isometry(lat) == cold
-        assert atom.act(lat, v) == want.apply(v)
+        assert GroupWord(lat, (atom,)).apply(v) == want.apply(v)
 
     @PROPERTY
     @given(spec=specs, seed=seeds, data=st.data())
@@ -445,18 +483,16 @@ class TestAtomCache:
         of the same rank, where its e has norm 2."""
         lat = build("2U+<-2>")
         atom = TransvectionAtom(Vec(_E), Vec(_E1))
-        assert atom.act(lat, _F) == Vec([0, 1, 1, 0, 0])
+        assert GroupWord(lat, (atom,)).apply(_F) == Vec([0, 1, 1, 0, 0])
         assert atom in lat._cache["atom_terms"]
         other = lattice_from_json({"gram": [
             [2, 1, 0, 0, 0], [1, -2, 0, 0, 0], [0, 0, 0, 1, 0],
             [0, 0, 1, 0, 0], [0, 0, 0, 0, -2]]})
         for _ in range(2):
             with pytest.raises(NotIsotropicError, match="base vector must be isotropic"):
-                atom.act(other, _F)
-            with pytest.raises(NotIsotropicError, match="base vector must be isotropic"):
                 GroupWord(other, [atom]).apply(_F)
         assert atom not in other._cache.get("atom_terms", {})
-        assert atom.act(lat, _F) == Vec([0, 1, 1, 0, 0])
+        assert GroupWord(lat, (atom,)).apply(_F) == Vec([0, 1, 1, 0, 0])
 
 
 # Pairs on 2U+<-2> where e is not isotropic and a is not orthogonal to
@@ -485,7 +521,7 @@ class TestValidationOrder:
         atom = TransvectionAtom(Vec(e), Vec(a))
         paths = [lambda: transvection(lat, e, a)]
         for at in (atom, atom.inverse()):
-            paths += [lambda at=at: at.act(lat, _F), lambda at=at: at.to_isometry(lat),
+            paths += [lambda at=at: GroupWord(lat, (at,)).apply(_F), lambda at=at: at.to_isometry(lat),
                       lambda at=at: GroupWord(lat, [at]).evaluate()]
         self.raises_every_time(lat, paths, NotIsotropicError, "base vector must be isotropic")
 
@@ -496,7 +532,7 @@ class TestValidationOrder:
         atom = ReflectionAtom(Vec(mirror))
         paths = [lambda: reflection(lat, mirror)]
         for at in (atom, atom.inverse()):
-            paths += [lambda at=at: at.act(lat, _F), lambda at=at: at.to_isometry(lat),
+            paths += [lambda at=at: GroupWord(lat, (at,)).apply(_F), lambda at=at: at.to_isometry(lat),
                       lambda at=at: GroupWord(lat, [at]).evaluate()]
         self.raises_every_time(lat, paths, IsotropicMirrorError, "mirror vector is isotropic")
 
