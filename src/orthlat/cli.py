@@ -239,11 +239,13 @@ def cmd_orbit_transport(args) -> dict:
     data = _payload(args)
     u = _parse_vec(_need(data, "u"))
     v = _parse_vec(_need(data, "v"))
+    # transport_witness raises InternalSolveFailureError unless
+    # word.apply(u) == v, so a returned word is verified
     word = eichler.transport_witness(split, u, v)
     return {
         "witness": word.to_json(),
         "atoms": len(word),
-        "verified": word.apply(u) == v,
+        "verified": True,
     }
 
 

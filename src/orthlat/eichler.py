@@ -281,7 +281,8 @@ def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
     Both vectors are first pushed into L1 by plane reduction; the
     residual translation by (u - v)/div happens there via three
     transvections, using solved auxiliary vectors u', v' pairing to the
-    common divisor.
+    common divisor.  The word is checked to map u to v before it is
+    returned (InternalSolveFailureError otherwise).
     """
     lat = split.lattice
     u, v = Vec(u), Vec(v)

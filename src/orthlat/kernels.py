@@ -15,9 +15,11 @@ first nonzero coordinate is negative are scanned, and the caller
 mirrors them.  An odometer walks the first n - 2 coordinates up to the
 zero prefix and carries the prefix's G v and norm, updated in O(n) per
 step.  Coordinate n - 2 is scanned with scalars only: for each of its
-values the norm is a quadratic in the last coordinate x, solved exactly
-with ``math.isqrt``, and a value whose discriminant is negative or not
-a perfect square is dropped before any tuple is built.  The work is
+values the norm is a quadratic in the last coordinate x.  Its
+discriminant is computed once per prefix and then stepped by two
+additions per value, a value whose discriminant is negative or not a
+perfect square (``math.isqrt``) is dropped before any tuple is built,
+and x is solved exactly from the square root in place.  The work is
 about half of (2 box + 1)^(n - 2) odometer steps and of
 (2 box + 1)^(n - 1) scalar steps, not (2 box + 1)^n norms of O(n^2)
 each.
@@ -42,15 +44,6 @@ def imat_mul(a, b, n, k, m):
     return out
 
 
-def _roots(a, b, r, box):
-    """The x in [-box, box] with a x == -b -+ r, ascending (a != 0,
-    r >= 0 the exact square root of the discriminant b^2 - a c)."""
-    ends = (-b - r, -b + r) if a > 0 else (-b + r, -b - r)
-    if r == 0:
-        ends = ends[:1]
-    return [x for x, m in (divmod(t, a) for t in ends) if m == 0 and -box <= x <= box]
-
-
 def _last_coordinates(a, b, c, box):
     """The x in [-box, box] with a x^2 + 2 b x + c == 0, ascending."""
     if a == 0:
@@ -61,7 +54,9 @@ def _last_coordinates(a, b, c, box):
     disc = b * b - a * c
     if disc < 0 or (r := isqrt(disc)) * r != disc:
         return ()
-    return _roots(a, b, r, box)
+    ends = (-b - r, -b + r) if a > 0 else (-b + r, -b - r)
+    return [x for x, m in (divmod(t, a) for t in ends[:1 + (r > 0)])
+            if m == 0 and -box <= x <= box]
 
 
 def enum_norm_vectors(gram, n, target, box, *, tally=False):
@@ -86,10 +81,16 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
     with it at y the full norm is a x^2 + 2 b x + c + target, where
     a = G[n-1][n-1], b = g[n-1] + y G[n-2][n-1] and c = p - target +
     y (2 g[n-2] + y G[n-2][n-2]), so the last coordinate x solves
-    a x^2 + 2 b x + c == 0.  For a != 0, y is dropped unless b^2 - a c
-    is a perfect square, before any tuple is built or any call made,
-    and x is read off the square root r as (-b -+ r) / a.
-    A hit's G v is g + y G[:, n-2] + x G[:, n-1].
+    a x^2 + 2 b x + c == 0.  For a != 0 the discriminant b^2 - a c is
+    computed once per prefix, at y = -box, and then stepped: with
+    alpha = G[n-2][n-1]^2 - a G[n-2][n-2] (fixed by G) and
+    beta = g[n-1] G[n-2][n-1] - a g[n-2] (fixed by the prefix),
+    disc(y + 1) - disc(y) = alpha (2 y + 1) + 2 beta, a step that itself
+    grows by 2 alpha.  So each y costs two additions and a sign test
+    before the perfect-square test, y is dropped unless the discriminant
+    is a perfect square, before any tuple is built or any call made, and
+    on a square r^2 each x = (-b -+ r) / a in the box is kept in place.
+    For a == 0 the equation is linear in x and solved per y.
     """
     if n == 0 or box < 0:
         return []
@@ -106,6 +107,10 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
     span = 2 * box
     wraps = [[-span * x for x in col] for col in cols[:m]]
     ys = range(-box, box + 1)
+    # the roots (-b -+ r) / a, ascending, are (w - r) / |a|, (w + r) / |a|
+    # with w = -b sgn(a)
+    alpha, sgn, mag = s * s - a * e, (a > 0) - (a < 0), abs(a)
+    twice_alpha = 2 * alpha
     v = [-box] * m
     g = [-box * sum(gram[i * n:i * n + m]) for i in range(n)]
     p = -box * sum(g[:m])
@@ -116,31 +121,48 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
         if not below:
             ys = range(-box, 1)
         gm, gl, c0 = g[m], g[last], p - target
-        for y in ys:
-            b = gl + y * s
-            c = c0 + y * (2 * gm + y * e)
-            if a:
-                disc = b * b - a * c
-                if disc < 0 or (r := isqrt(disc)) * r != disc:
-                    continue
-                xs = _roots(a, b, r, box)
-            else:
-                xs = _last_coordinates(0, b, c, box)
-            if xs:
-                if not (below or y):
-                    xs = [x for x in xs if x < 0]
-                if tally:
-                    ry = mask | (y & 1) << m
-                    for x in xs:
-                        r = ry | (x & 1) << last
-                        t = tallies.get(r)
-                        if t is None:
-                            tallies[r] = [(*v, y, x), 1]
+        if a:
+            # b^2 - a c at y = -box, and the step to y = 1 - box
+            b = gl - box * s
+            disc = b * b - a * (c0 - box * (2 * gm - box * e))
+            step = alpha * (1 - span) + 2 * (gl * s - a * gm)
+            for y in ys:
+                if disc >= 0 and (r := isqrt(disc)) * r == disc:
+                    w = -sgn * (gl + y * s)
+                    top = box if below or y else -1
+                    for t in (w - r, w + r) if r else (w,):
+                        x, q = divmod(t, mag)
+                        if q or x < -box or x > top:
+                            continue
+                        if tally:
+                            k = mask | (y & 1) << m | (x & 1) << last
+                            hit = tallies.get(k)
+                            if hit is None:
+                                tallies[k] = [(*v, y, x), 1]
+                            else:
+                                hit[1] += 1
                         else:
-                            t[1] += 1
-                else:
-                    prefix = (*v, y)
-                    out.extend((*prefix, x) for x in xs)
+                            out.append((*v, y, x))
+                disc += step
+                step += twice_alpha
+        else:
+            for y in ys:
+                xs = _last_coordinates(0, gl + y * s, c0 + y * (2 * gm + y * e), box)
+                if xs:
+                    if not (below or y):
+                        xs = [x for x in xs if x < 0]
+                    if tally:
+                        ry = mask | (y & 1) << m
+                        for x in xs:
+                            k = ry | (x & 1) << last
+                            hit = tallies.get(k)
+                            if hit is None:
+                                tallies[k] = [(*v, y, x), 1]
+                            else:
+                                hit[1] += 1
+                    else:
+                        prefix = (*v, y)
+                        out.extend((*prefix, x) for x in xs)
         if not below:
             return list(tallies.values()) if tally else out
         below -= 1

@@ -34,9 +34,13 @@ for _i, _j in _E8_BONDS:
 
 # Most scalar steps (values of coordinate rank - 2, one per prefix of
 # the odometer) a scan of the whole box would take, although only half
-# of it is scanned: near the budget, enumerate_vectors takes 0.2 to
-# 0.55 s of CPU, depending on the number of hits, and this is 17 times
-# the (2*4 + 1)^5 steps of a 2U+A2 census in box 4.
+# of it is scanned: near the budget, enumerate_vectors takes 0.07 to
+# 0.5 s of CPU (CPython 3.11 on a 2-core x86-64 host; 2U+A2 box 7,
+# 2U+<-2> and 2U+<-10> box 15, 2U+A2+<-2> box 4, U+<-2> box 499, at
+# norms -2 and 0), depending on the number of hits, and this is 17
+# times the (2*4 + 1)^5 steps of a 2U+A2 census in box 4.  Output
+# that fills whole columns costs per hit instead: U at norm 0 in box
+# 499999 is 2 million vectors and about 3.5 s.
 ENUM_STEP_BUDGET = 10 ** 6
 
 

@@ -157,6 +157,28 @@ def lattice_cases(draw):
     return [x for row in rows for x in row], n, 2 * draw(st.integers(-3, 3)), box
 
 
+# One case per branch of the stepped discriminant: the scan takes
+# b^2 - a c at y = -box and steps it by alpha (2 y + 1) + 2 beta, with
+# alpha = G[n-2][n-1]^2 - a G[n-2][n-2], so a wrong first step shows on
+# every case with alpha != 0 and hits past the first y.
+BIG = 10 ** 24
+STEPPED = (
+    ([2, -1, 0, -1, 2, -1, 0, -1, 2], 3, 2, 2),   # alpha < 0 (A3)
+    ([2, 1, 0, 1, 2, 2, 0, 2, 2], 3, 2, 2),       # alpha = 0, a != 0
+    ([2, 1, 0, 1, 2, 3, 0, 3, 2], 3, 2, 2),       # alpha > 0
+    ([2, 1, 0, 1, -2, 1, 0, 1, 0], 3, -2, 2),     # a = 0: the linear path
+    ([2, 3, 3, 2], 2, 2, 3),                      # the zero prefix only: y in [-box, 0]
+    ([2, -1, 0, -1, 2, -1, 0, -1, 2], 3, 0, 0),   # box 0
+    ([2 * BIG, 3 * BIG, 3 * BIG, -2 * BIG], 2, -2 * BIG, 3),   # 25-digit entries
+)
+
+
+def stepped_examples(test):
+    for case in STEPPED:
+        test = example(case)(test)
+    return test
+
+
 class TestEnumProperties:
     """The scalar scan of coordinate n - 2 and the last-coordinate
     solve against the product loop."""
@@ -177,6 +199,7 @@ class TestEnumProperties:
     @example(([2, 0, 0, -2], 2, 0, 3))            # n = 2, G[0][1] = 0: b fixed by the prefix
     @example(([-2, 0, 0, 0], 2, -8, 2))           # n = 2, G[0][1] = 0 and a = 0: whole columns
     @example(([0, 1, 0, 1, 0, 2, 0, 2, 0], 3, 4, 2))     # both scanned coordinates isotropic
+    @stepped_examples
     def test_matches_product_loop(self, case):
         check_half_space(*case)
 
@@ -188,6 +211,7 @@ class TestEnumProperties:
     @example(([0, 1, 1, 0], 2, 0, 3))             # a = 0: all x < 0 at y = 0, x = 0 after
     @example(([2, 1, 0, 0, 1,  1, -2, 1, 0, 0,  0, 1, 0, 1, 0,  0, 0, 1, 2, 0,
                1, 0, 0, 0, 0], 5, -2, 3))         # n = 5, box 3, a = 0
+    @stepped_examples
     def test_tally_matches_product_loop_by_parity(self, case):
         """Each residue's count is half its whole-box count, the zero
         vector aside, and its first hit is the whole box's first."""
