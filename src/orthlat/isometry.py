@@ -175,6 +175,12 @@ def transvection(lattice: Lattice, e, a) -> Isometry:
 # ---------------------------------------------------------------------
 # words of generators
 
+# Most atoms whose terms one lattice keeps: a transport pass validates
+# about 300 atoms per lattice and a suite run up to 1,110 on one, and a
+# full cache is emptied by its next insert.
+ATOM_TERMS_CACHE_LIMIT = 4096
+
+
 class _AtomAction:
     """Atoms act on vectors in words, and build their matrix, from one
     set of validated rank-update terms (c, x, G z) per lattice."""
@@ -184,12 +190,16 @@ class _AtomAction:
 
     def _cached_terms(self, lattice: Lattice) -> list:
         """terms(lattice), validated once per lattice and kept in its
-        cache under the atom (atoms are frozen).  An atom that fails
+        cache under the atom (atoms are frozen), which is cleared when it
+        holds ATOM_TERMS_CACHE_LIMIT atoms.  An atom that fails
         validation raises on every call and is never stored."""
         cache = lattice._cache.setdefault("atom_terms", {})
         terms = cache.get(self)
         if terms is None:
-            terms = cache[self] = self.terms(lattice)
+            terms = self.terms(lattice)
+            if len(cache) >= ATOM_TERMS_CACHE_LIMIT:
+                cache.clear()
+            cache[self] = terms
         return terms
 
 

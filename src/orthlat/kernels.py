@@ -9,23 +9,31 @@ class of a root in D(L) depends only on that residue.  A root's divisor
 d divides (v, v) = -2, so d == 2 exactly when G v == 0 mod 2, d == 1
 gives the zero class, and v == v' mod 2 gives v/2 == v'/2 in L*/L.
 
-Enumeration never visits the whole box, and scans in two levels over
+Enumeration never visits the whole box, and scans in three levels over
 half of it: v and -v have the same norm, so only the vectors whose
 first nonzero coordinate is negative are scanned, and the caller
-mirrors them.  An odometer walks the first n - 2 coordinates up to the
+mirrors them.  An odometer walks the first n - 3 coordinates up to the
 zero prefix and carries the prefix's G v and norm, updated in O(n) per
-step.  Coordinate n - 2 is scanned with scalars only: for each of its
-values the norm is a quadratic in the last coordinate x.  Its
-discriminant is computed once per prefix and then stepped by two
-additions per value, a value whose discriminant is negative or not a
-perfect square (``math.isqrt``) is dropped before any tuple is built,
-and x is solved exactly from the square root in place.  The work is
-about half of (2 box + 1)^(n - 2) odometer steps and of
-(2 box + 1)^(n - 1) scalar steps, not (2 box + 1)^n norms of O(n^2)
-each.
+step.  Coordinate n - 3 is a scalar loop that carries the norm and the
+last two entries of G v by additions, four per value.  Coordinate
+n - 2 is scanned with scalars too: for each of its values the norm is
+a quadratic in the last coordinate x.  Its discriminant is computed
+once per value of coordinate n - 3 and then stepped by two additions
+per value, a value whose discriminant is negative or not a perfect
+square (``math.isqrt``) is dropped before any tuple is built, and x is
+solved exactly from the square root in place; when the last basis
+vector is isotropic the equation is linear, and its coefficients are
+stepped the same way.  Ranks 1 and 2 are the zero prefix alone.  The
+work is about half of (2 box + 1)^(n - 3) odometer steps, of
+(2 box + 1)^(n - 2) steps of coordinate n - 3 and of (2 box + 1)^(n - 1)
+steps of coordinate n - 2, not (2 box + 1)^n norms of O(n^2) each.
+Only a whole column, where every x hits, costs per hit, and it is
+charged against the caller's budget.
 """
 
 from math import isqrt
+
+from orthlat.errors import TooLargeError
 
 BACKEND = "python"
 
@@ -59,7 +67,29 @@ def _last_coordinates(a, b, c, box):
             if m == 0 and -box <= x <= box]
 
 
-def enum_norm_vectors(gram, n, target, box, *, tally=False):
+def _charged(budget, box, target):
+    """The budget left after one whole column of 2 box + 1 hits (None is
+    no bound); raises TooLargeError once it is spent."""
+    if budget is None:
+        return None
+    budget -= 2 * box + 1
+    if budget < 0:
+        raise TooLargeError(
+            f"box {box} at norm {target}: whole columns of {2 * box + 1} vectors "
+            f"overrun the enumeration budget")
+    return budget
+
+
+def _parity_groups(hits):
+    """[first hit, count] per residue mod 2 of ascending hits, ascending
+    by first hit."""
+    groups = {}
+    for v in hits:
+        groups.setdefault(tuple(x & 1 for x in v), [v, 0])[1] += 1
+    return list(groups.values())
+
+
+def enum_norm_vectors(gram, n, target, box, *, tally=False, budget=None):
     """The integer coordinate vectors v in [-box, box]^n with
     v^T G v == target whose first nonzero coordinate is negative.
 
@@ -73,44 +103,66 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
     hit, ascending by first hit, and no other hit becomes a tuple: the
     odometer carries the prefix's parities as a bitmask.
 
-    The first n - 2 coordinates run through the box as an odometer (the
-    last of them fastest) carrying g = G v and the norm p of the prefix;
-    it stops at the zero prefix, as every later prefix has a positive
-    first nonzero entry.  Coordinate n - 2 is then scanned with scalars
-    only (over y <= 0 behind the zero prefix, keeping x < 0 at y = 0):
-    with it at y the full norm is a x^2 + 2 b x + c + target, where
-    a = G[n-1][n-1], b = g[n-1] + y G[n-2][n-1] and c = p - target +
+    A whole column, the 2 box + 1 values of an isotropic last
+    coordinate that all hit (a == b == c == 0 below), is charged 2 box + 1
+    against ``budget``, in tally mode too, and TooLargeError is raised
+    once the charges pass it; None leaves the columns unbounded.
+
+    Ranks 1 and 2 are the zero prefix alone, solved value by value.
+    From rank 3 on, the first n - 3 coordinates run through the box as
+    an odometer (the last of them fastest) carrying g = G v and the norm
+    p of the prefix; it stops at the zero prefix, as every later prefix
+    has a positive first nonzero entry.  Coordinate n - 3 (z) is a
+    scalar loop over z <= 0 behind the zero prefix: from z to z + 1 the
+    norm grows by 2 g[n-3] + (2 z + 1) G[n-3][n-3] (a step that itself
+    grows by 2 G[n-3][n-3]), and g[n-2], g[n-1] grow by G[n-3][n-2],
+    G[n-3][n-1], so a z step is four additions.  Coordinate n - 2 (y)
+    is then scanned with scalars too (over y <= 0 behind the zero prefix
+    and z = 0, keeping x < 0 at y = 0): with it at y the full norm is
+    a x^2 + 2 b x + c + target, where a = G[n-1][n-1],
+    b = g[n-1] + y G[n-2][n-1] and c = p - target +
     y (2 g[n-2] + y G[n-2][n-2]), so the last coordinate x solves
     a x^2 + 2 b x + c == 0.  For a != 0 the discriminant b^2 - a c is
-    computed once per prefix, at y = -box, and then stepped: with
+    computed once per z, at y = -box, and then stepped: with
     alpha = G[n-2][n-1]^2 - a G[n-2][n-2] (fixed by G) and
-    beta = g[n-1] G[n-2][n-1] - a g[n-2] (fixed by the prefix),
+    beta = g[n-1] G[n-2][n-1] - a g[n-2] (fixed by the prefix and z),
     disc(y + 1) - disc(y) = alpha (2 y + 1) + 2 beta, a step that itself
     grows by 2 alpha.  So each y costs two additions and a sign test
     before the perfect-square test, y is dropped unless the discriminant
     is a perfect square, before any tuple is built or any call made, and
     on a square r^2 each x = (-b -+ r) / a in the box is kept in place.
-    For a == 0 the equation is linear in x and solved per y.
+    For a == 0 the equation is linear in x: b steps by G[n-2][n-1] and c
+    by 2 g[n-2] + (2 y + 1) G[n-2][n-2], and x = -c / (2 b) is kept when
+    it is an integer in the box.
     """
     if n == 0 or box < 0:
         return []
-    if n == 1:
-        out = [(x,) for x in _last_coordinates(gram[0], 0, -target, box) if x < 0]
-        # one hit, or every x < 0 (a == target == 0): parities alternate
-        return [[v, len(out[i::2])] for i, v in enumerate(out[:2])] if tally else out
-    m, last = n - 2, n - 1
+    if n <= 2:
+        # y in [-box, 0] (y = 0 alone at n = 1), keeping x < 0 at y = 0
+        a = gram[-1]
+        s, e = (gram[1], gram[0]) if n == 2 else (0, 0)
+        ys = range(-box, 1) if n == 2 else (0,)
+        if not a:   # whole columns, where b = y s and c = y^2 e - target vanish
+            for y in ys if not s else (0,):
+                if y * y * e == target:
+                    budget = _charged(budget, box, target)
+        out = [(y, x) if n == 2 else (x,) for y in ys
+               for x in _last_coordinates(a, y * s, y * y * e - target, box) if y or x < 0]
+        return _parity_groups(out) if tally else out
+    m, yi, last = n - 3, n - 2, n - 1     # odometer length; z is coordinate m
     a = gram[last * n + last]
-    s = gram[m * n + last]
-    e = gram[m * n + m]
-    cols = [gram[k::n] for k in range(n)]          # column k == row k
+    s = gram[yi * n + last]
+    e = gram[yi * n + yi]
+    zz, zy, zx = gram[m * n + m], gram[m * n + yi], gram[m * n + last]
+    cols = [gram[k::n] for k in range(m)]          # column k == row k
     diag = [gram[k * n + k] for k in range(m)]
     span = 2 * box
-    wraps = [[-span * x for x in col] for col in cols[:m]]
-    ys = range(-box, box + 1)
+    wraps = [[-span * x for x in col] for col in cols]
+    full = range(-box, box + 1)
     # the roots (-b -+ r) / a, ascending, are (w - r) / |a|, (w + r) / |a|
     # with w = -b sgn(a)
     alpha, sgn, mag = s * s - a * e, (a > 0) - (a < 0), abs(a)
-    twice_alpha = 2 * alpha
+    twice_alpha, twice_s, twice_e, twice_zz = 2 * alpha, 2 * s, 2 * e, 2 * zz
     v = [-box] * m
     g = [-box * sum(gram[i * n:i * n + m]) for i in range(n)]
     p = -box * sum(g[:m])
@@ -118,51 +170,70 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
     mask = 0                               # bit k: (v[k] + box) mod 2
     out, tallies = [], {}
     while True:
-        if not below:
-            ys = range(-box, 1)
-        gm, gl, c0 = g[m], g[last], p - target
-        if a:
-            # b^2 - a c at y = -box, and the step to y = 1 - box
-            b = gl - box * s
-            disc = b * b - a * (c0 - box * (2 * gm - box * e))
-            step = alpha * (1 - span) + 2 * (gl * s - a * gm)
-            for y in ys:
-                if disc >= 0 and (r := isqrt(disc)) * r == disc:
-                    w = -sgn * (gl + y * s)
-                    top = box if below or y else -1
-                    for t in (w - r, w + r) if r else (w,):
-                        x, q = divmod(t, mag)
-                        if q or x < -box or x > top:
-                            continue
+        # the norm of prefix + z and its entries g[n-2], g[n-1] at z = -box,
+        # and the norm's first step
+        gz = g[m]
+        pz = p - box * (2 * gz - box * zz)
+        dp = 2 * gz + (1 - span) * zz
+        gy = g[yi] - box * zy
+        gx = g[last] - box * zx
+        for z in full if below else range(-box, 1):
+            head = below or z              # falsy at the zero prefix and z = 0
+            c0 = pz - target
+            b = gx - box * s
+            if a:
+                # b^2 - a c at y = -box, and the step to y = 1 - box
+                disc = b * b - a * (c0 - box * (2 * gy - box * e))
+                step = alpha * (1 - span) + 2 * (gx * s - a * gy)
+                for y in full if head else range(-box, 1):
+                    if disc >= 0 and (r := isqrt(disc)) * r == disc:
+                        w = -sgn * (gx + y * s)
+                        top = box if head or y else -1
+                        for t in (w - r, w + r) if r else (w,):
+                            x, q = divmod(t, mag)
+                            if q or x < -box or x > top:
+                                continue
+                            if tally:
+                                k = mask | (z & 1) << m | (y & 1) << yi | (x & 1) << last
+                                hit = tallies.get(k)
+                                if hit is None:
+                                    tallies[k] = [(*v, z, y, x), 1]
+                                else:
+                                    hit[1] += 1
+                            else:
+                                out.append((*v, z, y, x))
+                    disc += step
+                    step += twice_alpha
+            else:
+                # 2 b and c at y = -box, and the first step of c
+                tb = 2 * b
+                c = c0 - box * (2 * gy - box * e)
+                dc = 2 * gy + (1 - span) * e
+                for y in full if head else range(-box, 1):
+                    xs = ()
+                    if tb:
+                        if not c % tb and -box <= (x := -c // tb) <= (box if head or y else -1):
+                            xs = (x,)
+                    elif not c:
+                        budget = _charged(budget, box, target)
+                        xs = full if head or y else range(-box, 0)
+                    tb += twice_s
+                    c += dc
+                    dc += twice_e
+                    for x in xs:
                         if tally:
-                            k = mask | (y & 1) << m | (x & 1) << last
+                            k = mask | (z & 1) << m | (y & 1) << yi | (x & 1) << last
                             hit = tallies.get(k)
                             if hit is None:
-                                tallies[k] = [(*v, y, x), 1]
+                                tallies[k] = [(*v, z, y, x), 1]
                             else:
                                 hit[1] += 1
                         else:
-                            out.append((*v, y, x))
-                disc += step
-                step += twice_alpha
-        else:
-            for y in ys:
-                xs = _last_coordinates(0, gl + y * s, c0 + y * (2 * gm + y * e), box)
-                if xs:
-                    if not (below or y):
-                        xs = [x for x in xs if x < 0]
-                    if tally:
-                        ry = mask | (y & 1) << m
-                        for x in xs:
-                            k = ry | (x & 1) << last
-                            hit = tallies.get(k)
-                            if hit is None:
-                                tallies[k] = [(*v, y, x), 1]
-                            else:
-                                hit[1] += 1
-                    else:
-                        prefix = (*v, y)
-                        out.extend((*prefix, x) for x in xs)
+                            out.append((*v, z, y, x))
+            pz += dp
+            dp += twice_zz
+            gy += zy
+            gx += zx
         if not below:
             return list(tallies.values()) if tally else out
         below -= 1

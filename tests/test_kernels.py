@@ -1,13 +1,15 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from orthlat import kernels
+from orthlat.errors import TooLargeError
 from orthlat.lattice import Lattice
 from orthlat.linalg import Mat, Vec
 
-# enumeration cases are cheap, and ranks 1..6 with four isotropy patterns
+# enumeration cases are cheap, and ranks 1..6 with six isotropy patterns
 # need this many draws to cover each
 PROPERTY = settings(max_examples=250, deadline=None, derandomize=True, database=None)
 
@@ -39,6 +41,17 @@ def mirrored(half, n, target):
     the half, the zero vector when target == 0, the half negated in
     reverse."""
     return half + [(0,) * n] * (target == 0) + [tuple(-x for x in v) for v in reversed(half)]
+
+
+def whole_columns(gram, n, target, box):
+    """The cells w of the first n - 1 coordinates in the box, at or
+    below zero, at which every last coordinate x hits: the norm is a
+    quadratic in x, so it is target at all x once it is at three."""
+    return sum(
+        1 for w in product(range(-box, box + 1), repeat=n - 1)
+        if w <= (0,) * (n - 1) and all(
+            sum(v[i] * gram[i * n + j] * v[j] for i in range(n) for j in range(n)) == target
+            for v in (w + (x,) for x in (-1, 0, 1))))
 
 
 def parity_groups(hits):
@@ -119,17 +132,23 @@ def connected(gram, n):
     return len(reached) == n
 
 
+def isotropic_patterns(n):
+    """The sets of scanned coordinates made isotropic, last three only."""
+    return [(), (n - 1,), (n - 2,), (n - 3,), (n - 2, n - 1), (n - 3, n - 1)]
+
+
 @st.composite
 def enum_cases(draw, max_rank=6):
     """(gram, n, target, box) with a random symmetric Gram matrix that
-    is not block-diagonal; the last basis vector, the second-to-last
-    (scanned in scalars) or both are isotropic in some of the cases."""
+    is not block-diagonal; the last basis vector, the second-to-last,
+    the third-to-last (both scanned in scalars) or some of them together
+    are isotropic in some of the cases."""
     n = draw(st.integers(1, max_rank))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
-    for k in draw(st.sampled_from([(), (n - 1,), (n - 2,), (n - 2, n - 1)])):
+    for k in draw(st.sampled_from(isotropic_patterns(n))):
         if k >= 0:
             rows[k][k] = 0
     gram = [x for row in rows for x in row]
@@ -141,15 +160,15 @@ def enum_cases(draw, max_rank=6):
 @st.composite
 def lattice_cases(draw):
     """(gram, n, target, box) with an even nondegenerate Gram matrix,
-    the last basis vector, the second-to-last or both isotropic in some
-    of the cases, and an even target."""
+    the last basis vector, the second-to-last, the third-to-last or some
+    of them together isotropic in some of the cases, and an even target."""
     n = draw(st.integers(0, 5))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 2 * draw(st.integers(-2, 2))
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
-    for k in draw(st.sampled_from([(), (n - 1,), (n - 2,), (n - 2, n - 1)])):
+    for k in draw(st.sampled_from(isotropic_patterns(n))):
         if k >= 0:
             rows[k][k] = 0
     assume(Mat(rows).det() != 0)
@@ -160,7 +179,10 @@ def lattice_cases(draw):
 # One case per branch of the stepped discriminant: the scan takes
 # b^2 - a c at y = -box and steps it by alpha (2 y + 1) + 2 beta, with
 # alpha = G[n-2][n-1]^2 - a G[n-2][n-2], so a wrong first step shows on
-# every case with alpha != 0 and hits past the first y.
+# every case with alpha != 0 and hits past the first y.  The last three
+# step coordinate z = n - 3, carrying the norm p and g[n-2], g[n-1] of
+# the prefix and z; each has hits past its first z, so a z step of any
+# of the three that is off by one shows in each.
 BIG = 10 ** 24
 STEPPED = (
     ([2, -1, 0, -1, 2, -1, 0, -1, 2], 3, 2, 2),   # alpha < 0 (A3)
@@ -170,6 +192,9 @@ STEPPED = (
     ([2, 3, 3, 2], 2, 2, 3),                      # the zero prefix only: y in [-box, 0]
     ([2, -1, 0, -1, 2, -1, 0, -1, 2], 3, 0, 0),   # box 0
     ([2 * BIG, 3 * BIG, 3 * BIG, -2 * BIG], 2, -2 * BIG, 3),   # 25-digit entries
+    ([2, -1, 1, -1, 2, -1, 1, -1, -2], 3, -2, 2),  # n = 3: z <= 0, the zero prefix
+    ([2, 1, 0, 0, 1, 0, 1, -1, 0, 1, 2, -1, 0, -1, -1, 2], 4, 2, 2),  # G[n-3][n-3] = 0
+    ([2, 1, 0, 0, 1, 2, 0, 1, 0, 0, 2, -1, 0, 1, -1, 2], 4, 2, 2),   # z meets x, not y
 )
 
 
@@ -180,8 +205,8 @@ def stepped_examples(test):
 
 
 class TestEnumProperties:
-    """The scalar scan of coordinate n - 2 and the last-coordinate
-    solve against the product loop."""
+    """The scalar scans of coordinates n - 3 and n - 2 and the
+    last-coordinate solve against the product loop."""
 
     @PROPERTY
     @given(enum_cases())
@@ -220,6 +245,26 @@ class TestEnumProperties:
         assert all(count % 2 == 0 for _, count in rest)
         assert kernels.enum_norm_vectors(gram, n, target, box, tally=True) == \
             [[v, count // 2] for v, count in rest]
+
+    @PROPERTY
+    @given(enum_cases(max_rank=4))
+    @example(([0], 1, 0, 3))                      # n = 1: the x < 0 of one column
+    @example(([0, 1, 1, 0], 2, 0, 2))             # n = 2: the column at y = 0
+    @example(([-2, 0, 0, 0], 2, -8, 2))           # n = 2: the column at y = -2
+    @example(([2, 1, 0, 1, -2, 0, 0, 0, 0], 3, -2, 2))   # n = 3: three columns
+    @example(([2, 1, 0, 0, 1, 0, 1, 0, 0, 1, -2, 1, 0, 0, 1, 0], 4, -2, 2))   # n = 4: one
+    def test_whole_columns_charged(self, case):
+        """Each whole column costs 2 box + 1 of the budget, in tally mode
+        too: a budget of exactly the columns' cost changes nothing, one
+        less raises."""
+        gram, n, target, box = case
+        cost = whole_columns(gram, n, target, box) * (2 * box + 1)
+        for tally in (False, True):
+            assert kernels.enum_norm_vectors(gram, n, target, box, tally=tally, budget=cost) \
+                == kernels.enum_norm_vectors(gram, n, target, box, tally=tally)
+            if cost:
+                with pytest.raises(TooLargeError, match="whole columns"):
+                    kernels.enum_norm_vectors(gram, n, target, box, tally=tally, budget=cost - 1)
 
     def test_rank_zero_and_negative_box(self):
         assert kernels.enum_norm_vectors([], 0, 0, 2) == []

@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 
 from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
-from orthlat import kernels
+from orthlat import kernels, lattice as lattice_module
 from orthlat.errors import (
     NotIntegralError,
     OddDiagonalError,
@@ -292,6 +293,24 @@ class TestEnumeration:
             lat.enumerate_vectors(-2, 1)
         with pytest.raises(TooLargeError):
             build("<-2>+<-2>").enumerate_vectors(-2, ENUM_STEP_BUDGET // 2)
+
+    def test_whole_columns_charged(self, monkeypatch):
+        """U at norm 0 is within the step budget in box 499999, but its
+        column at y = 0 would be 999,999 hits of the last coordinate
+        (2 million vectors with the mirror): it raises at once, in tally
+        mode too, while a box whose columns fit the budget enumerates."""
+        lat = build("U")
+        start = time.process_time()
+        with pytest.raises(TooLargeError, match="whole columns"):
+            lat.enumerate_vectors(0, 499999)
+        with pytest.raises(TooLargeError, match="whole columns"):
+            lat.half_space_vectors(0, 499999, tally=True)
+        assert time.process_time() - start < 1.0
+        # 2 box + 1 steps and one column of 2 box + 1 hits, against 100
+        monkeypatch.setattr(lattice_module, "ENUM_STEP_BUDGET", 100)
+        assert sum(count for _, count in lat.half_space_vectors(0, 24, tally=True)) == 48
+        with pytest.raises(TooLargeError, match="whole columns"):
+            lat.half_space_vectors(0, 25, tally=True)
 
     def test_non_integral_norm_has_no_vectors(self):
         lat = build("2U+A2")

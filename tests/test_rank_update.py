@@ -28,6 +28,7 @@ from orthlat.errors import (
     OrthlatError,
 )
 from orthlat.isometry import (
+    ATOM_TERMS_CACHE_LIMIT,
     GroupWord,
     Isometry,
     ReflectionAtom,
@@ -477,6 +478,40 @@ class TestAtomCache:
                 except (OrthlatError, ValueError):
                     valid = False
                 assert (atom in lat._cache.get("atom_terms", {})) == valid
+
+    def test_cache_is_bounded(self):
+        """10,000 distinct random atoms on one lattice: the cache never
+        holds more than ATOM_TERMS_CACHE_LIMIT atoms, is emptied when
+        full, and every atom acts as its formula says, also when it acts
+        again after its terms were dropped."""
+        lat = build("2U+<-2>")
+        rng = random.Random(0)
+        e, v = Vec(_E), Vec([3, -1, 2, 5, -4])
+        atoms = {}    # distinct, in the order drawn
+        while len(atoms) < 10_000:
+            x = Vec(rng.randint(-50, 50) for _ in range(5))
+            if len(atoms) % 2:
+                if lat.norm(x):
+                    atoms[ReflectionAtom(x)] = None
+            else:
+                atoms[TransvectionAtom(e, x - lat.inner(e, x) * Vec(_F))] = None
+
+        def image(atom):
+            if isinstance(atom, ReflectionAtom):
+                a = atom.mirror
+                return v - (Fraction(2 * lat.inner(a, v)) / lat.norm(a)) * a
+            a = atom.a
+            return v - lat.inner(a, v) * e + lat.inner(e, v) * a \
+                - (Fraction(lat.norm(a), 2) * lat.inner(e, v)) * e
+
+        for i, atom in enumerate(atoms):
+            assert GroupWord(lat, (atom,)).apply(v) == image(atom)
+            assert len(lat._cache["atom_terms"]) == i % ATOM_TERMS_CACHE_LIMIT + 1
+        cached = len(lat._cache["atom_terms"])
+        for atom in list(atoms)[:50]:    # dropped by the first clear
+            assert atom not in lat._cache["atom_terms"]
+            assert GroupWord(lat, (atom,)).apply(v) == image(atom)
+        assert len(lat._cache["atom_terms"]) == cached + 50
 
     def test_validated_on_each_lattice(self):
         """An atom cached on 2U+<-2> is checked again on a --file lattice
