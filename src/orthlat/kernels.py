@@ -28,7 +28,7 @@ work is about half of (2 box + 1)^(n - 3) odometer steps, of
 (2 box + 1)^(n - 2) steps of coordinate n - 3 and of (2 box + 1)^(n - 1)
 steps of coordinate n - 2, not (2 box + 1)^n norms of O(n^2) each.
 Only a whole column, where every x hits, costs per hit, and it is
-charged against the caller's budget.
+charged against what the steps leave of ``ENUM_STEP_BUDGET``.
 """
 
 from math import isqrt
@@ -36,6 +36,18 @@ from math import isqrt
 from orthlat.errors import TooLargeError
 
 BACKEND = "python"
+
+# Most scalar steps (values of coordinate rank - 2, one per value of
+# coordinate rank - 3 and prefix of the odometer) a scan of the whole
+# box would take, although only half of it is scanned: near the budget,
+# enumerate_vectors takes 0.06 to 0.24 s of CPU (CPython 3.11 on a
+# 2-core x86-64 host; 2U+A2 box 7, 2U+<-2> and 2U+<-10> box 15,
+# 2U+A2+<-2> box 4, U+<-2> box 499, at norms -2 and 0), depending on
+# the number of hits, and this is 17 times the (2*4 + 1)^5 steps of a
+# 2U+A2 census in box 4.  Lattice.half_space_vectors refuses a box over
+# it before any work; what the steps leave of it bounds the whole
+# columns of hits, 2 box + 1 each, that the scan may emit.
+ENUM_STEP_BUDGET = 10 ** 6
 
 
 def imat_mul(a, b, n, k, m):
@@ -68,10 +80,8 @@ def _last_coordinates(a, b, c, box):
 
 
 def _charged(budget, box, target):
-    """The budget left after one whole column of 2 box + 1 hits (None is
-    no bound); raises TooLargeError once it is spent."""
-    if budget is None:
-        return None
+    """The budget left after one whole column of 2 box + 1 hits; raises
+    TooLargeError once it is spent."""
     budget -= 2 * box + 1
     if budget < 0:
         raise TooLargeError(
@@ -80,16 +90,7 @@ def _charged(budget, box, target):
     return budget
 
 
-def _parity_groups(hits):
-    """[first hit, count] per residue mod 2 of ascending hits, ascending
-    by first hit."""
-    groups = {}
-    for v in hits:
-        groups.setdefault(tuple(x & 1 for x in v), [v, 0])[1] += 1
-    return list(groups.values())
-
-
-def enum_norm_vectors(gram, n, target, box, *, tally=False, budget=None):
+def enum_norm_vectors(gram, n, target, box, *, tally=False):
     """The integer coordinate vectors v in [-box, box]^n with
     v^T G v == target whose first nonzero coordinate is negative.
 
@@ -101,12 +102,13 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False, budget=None):
 
     With ``tally`` the output is [first hit, count] per residue v mod 2
     hit, ascending by first hit, and no other hit becomes a tuple: the
-    odometer carries the prefix's parities as a bitmask.
+    scan keys each hit by its parities as a bitmask.
 
     A whole column, the 2 box + 1 values of an isotropic last
     coordinate that all hit (a == b == c == 0 below), is charged 2 box + 1
-    against ``budget``, in tally mode too, and TooLargeError is raised
-    once the charges pass it; None leaves the columns unbounded.
+    against ENUM_STEP_BUDGET less the (2 box + 1)^(n - 1) steps of the
+    box, in tally mode too, and TooLargeError is raised once the charges
+    pass it.
 
     Ranks 1 and 2 are the zero prefix alone, solved value by value.
     From rank 3 on, the first n - 3 coordinates run through the box as
@@ -130,15 +132,19 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False, budget=None):
     grows by 2 alpha.  So each y costs two additions and a sign test
     before the perfect-square test, y is dropped unless the discriminant
     is a perfect square, before any tuple is built or any call made, and
-    on a square r^2 each x = (-b -+ r) / a in the box is kept in place.
-    For a == 0 the equation is linear in x: b steps by G[n-2][n-1] and c
-    by 2 g[n-2] + (2 y + 1) G[n-2][n-2], and x = -c / (2 b) is kept when
-    it is an integer in the box.
+    on a square r^2 the candidates are x = (-b -+ r) / a.  For a == 0
+    the equation is linear in x: b steps by G[n-2][n-1] and c by
+    2 g[n-2] + (2 y + 1) G[n-2][n-2], and the candidate is
+    x = -c / (2 b).  Either way a candidate is kept when it is an
+    integer in the box.
     """
     if n == 0 or box < 0:
         return []
+    budget = ENUM_STEP_BUDGET - (2 * box + 1) ** (n - 1)
+    out, tallies = [], {}
     if n <= 2:
-        # y in [-box, 0] (y = 0 alone at n = 1), keeping x < 0 at y = 0
+        # y in [-box, 0] (y = 0 alone at n = 1), keeping x < 0 at y = 0;
+        # a tally keys a hit by y mod 2 and x mod 2
         a = gram[-1]
         s, e = (gram[1], gram[0]) if n == 2 else (0, 0)
         ys = range(-box, 1) if n == 2 else (0,)
@@ -146,9 +152,17 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False, budget=None):
             for y in ys if not s else (0,):
                 if y * y * e == target:
                     budget = _charged(budget, box, target)
-        out = [(y, x) if n == 2 else (x,) for y in ys
-               for x in _last_coordinates(a, y * s, y * y * e - target, box) if y or x < 0]
-        return _parity_groups(out) if tally else out
+        for y in ys:
+            for x in _last_coordinates(a, y * s, y * y * e - target, box):
+                if not (y or x < 0):
+                    break
+                if not tally:
+                    out.append((y, x)[2 - n:])
+                elif (hit := tallies.get(k := (y & 1) << 1 | x & 1)) is None:
+                    tallies[k] = [(y, x)[2 - n:], 1]
+                else:
+                    hit[1] += 1
+        return list(tallies.values()) if tally else out
     m, yi, last = n - 3, n - 2, n - 1     # odometer length; z is coordinate m
     a = gram[last * n + last]
     s = gram[yi * n + last]
@@ -168,7 +182,6 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False, budget=None):
     p = -box * sum(g[:m])
     below = ((span + 1) ** m - 1) // 2     # prefixes before the zero prefix
     mask = 0                               # bit k: (v[k] + box) mod 2
-    out, tallies = [], {}
     while True:
         # the norm of prefix + z and its entries g[n-2], g[n-1] at z = -box,
         # and the norm's first step
@@ -179,57 +192,55 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False, budget=None):
         gx = g[last] - box * zx
         for z in full if below else range(-box, 1):
             head = below or z              # falsy at the zero prefix and z = 0
-            c0 = pz - target
+            c = pz - target - box * (2 * gy - box * e)     # at y = -box
             b = gx - box * s
             if a:
                 # b^2 - a c at y = -box, and the step to y = 1 - box
-                disc = b * b - a * (c0 - box * (2 * gy - box * e))
+                disc = b * b - a * c
                 step = alpha * (1 - span) + 2 * (gx * s - a * gy)
-                for y in full if head else range(-box, 1):
-                    if disc >= 0 and (r := isqrt(disc)) * r == disc:
-                        w = -sgn * (gx + y * s)
-                        top = box if head or y else -1
-                        for t in (w - r, w + r) if r else (w,):
-                            x, q = divmod(t, mag)
-                            if q or x < -box or x > top:
-                                continue
-                            if tally:
-                                k = mask | (z & 1) << m | (y & 1) << yi | (x & 1) << last
-                                hit = tallies.get(k)
-                                if hit is None:
-                                    tallies[k] = [(*v, z, y, x), 1]
-                                else:
-                                    hit[1] += 1
-                            else:
-                                out.append((*v, z, y, x))
+            else:
+                # 2 b at y = -box, and the first step of c
+                tb = 2 * b
+                dc = 2 * gy + (1 - span) * e
+            for y in full if head else range(-box, 1):
+                # the numerators ts of the candidate x over one divisor dv
+                if a:
+                    if disc < 0 or (r := isqrt(disc)) * r != disc:
+                        disc += step
+                        step += twice_alpha
+                        continue
                     disc += step
                     step += twice_alpha
-            else:
-                # 2 b and c at y = -box, and the first step of c
-                tb = 2 * b
-                c = c0 - box * (2 * gy - box * e)
-                dc = 2 * gy + (1 - span) * e
-                for y in full if head else range(-box, 1):
-                    xs = ()
-                    if tb:
-                        if not c % tb and -box <= (x := -c // tb) <= (box if head or y else -1):
-                            xs = (x,)
-                    elif not c:
-                        budget = _charged(budget, box, target)
-                        xs = full if head or y else range(-box, 0)
+                    w = -sgn * (gx + y * s)
+                    ts, dv = (w - r, w + r) if r else (w,), mag
+                else:
+                    cy, dv = c, tb
                     tb += twice_s
                     c += dc
                     dc += twice_e
-                    for x in xs:
-                        if tally:
-                            k = mask | (z & 1) << m | (y & 1) << yi | (x & 1) << last
-                            hit = tallies.get(k)
-                            if hit is None:
-                                tallies[k] = [(*v, z, y, x), 1]
-                            else:
-                                hit[1] += 1
+                    if dv:
+                        if cy % dv or not -box <= -cy // dv <= box:
+                            continue
+                        ts = (-cy,)
+                    elif cy:
+                        continue
+                    else:
+                        budget = _charged(budget, box, target)
+                        ts, dv = full, 1
+                top = box if head or y else -1
+                for t in ts:
+                    x, q = divmod(t, dv)
+                    if q or x < -box or x > top:
+                        continue
+                    if tally:
+                        k = mask | (z & 1) << m | (y & 1) << yi | (x & 1) << last
+                        hit = tallies.get(k)
+                        if hit is None:
+                            tallies[k] = [(*v, z, y, x), 1]
                         else:
-                            out.append((*v, z, y, x))
+                            hit[1] += 1
+                    else:
+                        out.append((*v, z, y, x))
             pz += dp
             dp += twice_zz
             gy += zy

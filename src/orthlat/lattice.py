@@ -32,18 +32,6 @@ _E8_GRAM = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
 for _i, _j in _E8_BONDS:
     _E8_GRAM[_i - 1][_j - 1] = _E8_GRAM[_j - 1][_i - 1] = -1
 
-# Most scalar steps (values of coordinate rank - 2, one per value of
-# coordinate rank - 3 and prefix of the odometer) a scan of the whole
-# box would take, although only half of it is scanned: near the budget,
-# enumerate_vectors takes 0.09 to 0.27 s of CPU (CPython 3.11 on a
-# 2-core x86-64 host; 2U+A2 box 7, 2U+<-2> and 2U+<-10> box 15,
-# 2U+A2+<-2> box 4, U+<-2> box 499, at norms -2 and 0), depending on
-# the number of hits, and this is 17 times the (2*4 + 1)^5 steps of a
-# 2U+A2 census in box 4.  What the steps leave of it bounds the whole
-# columns of hits, 2 box + 1 each, that the scan may emit.
-ENUM_STEP_BUDGET = 10 ** 6
-
-
 def plane_defect(rows, i: int, j: int) -> str | None:
     """None when basis vectors i and j span a unimodular hyperbolic plane
     that is an orthogonal summand: G_ii == G_jj == 0, G_ij == 1 and rows
@@ -169,25 +157,25 @@ class Lattice:
         ``norm`` must be an int or a Fraction (a non-integral one has no
         hits) and ``box`` an integer; anything else raises TypeError or
         ValueError.  Raises TooLargeError, before any work, when the
-        whole box needs more than ENUM_STEP_BUDGET scalar steps, the
-        estimate (2 box + 1)^(rank - 1) even though half are scanned,
-        and during the scan once whole columns of hits (2 box + 1 each,
-        along an isotropic last basis vector) spend the rest of it."""
+        whole box needs more than kernels.ENUM_STEP_BUDGET scalar steps,
+        the estimate (2 box + 1)^(rank - 1) even though half are
+        scanned, and during the scan once whole columns of hits
+        (2 box + 1 each, along an isotropic last basis vector) spend the
+        rest of it."""
         norm, box = as_scalar(norm), as_scalar(box)
         if not isinstance(box, int):
             raise ValueError(f"box must be an integer, not {box}")
         if box < 0:
             return []
         steps = (2 * box + 1) ** (self.rank - 1)
-        if steps > ENUM_STEP_BUDGET:
+        if steps > kernels.ENUM_STEP_BUDGET:
             raise TooLargeError(
                 f"box {box} at rank {self.rank} needs {steps} enumeration steps, "
-                f"over the budget of {ENUM_STEP_BUDGET}")
+                f"over the budget of {kernels.ENUM_STEP_BUDGET}")
         if not isinstance(norm, int):
             return []
         flat = [x for row in self.gram.int_rows() for x in row]
-        return kernels.enum_norm_vectors(flat, self.rank, norm, box, tally=tally,
-                                         budget=ENUM_STEP_BUDGET - steps)
+        return kernels.enum_norm_vectors(flat, self.rank, norm, box, tally=tally)
 
     def enumerate_vectors(self, norm, box) -> list[Vec]:
         """All v with coordinates in [-box, box]^rank and (v, v) == norm,

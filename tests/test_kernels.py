@@ -254,17 +254,24 @@ class TestEnumProperties:
     @example(([2, 1, 0, 1, -2, 0, 0, 0, 0], 3, -2, 2))   # n = 3: three columns
     @example(([2, 1, 0, 0, 1, 0, 1, 0, 0, 1, -2, 1, 0, 0, 1, 0], 4, -2, 2))   # n = 4: one
     def test_whole_columns_charged(self, case):
-        """Each whole column costs 2 box + 1 of the budget, in tally mode
-        too: a budget of exactly the columns' cost changes nothing, one
-        less raises."""
+        """Each whole column costs 2 box + 1 of what the box's
+        (2 box + 1)^(n - 1) steps leave of the budget, in tally mode
+        too: a budget of exactly the steps and the columns' cost changes
+        nothing, one less raises."""
         gram, n, target, box = case
-        cost = whole_columns(gram, n, target, box) * (2 * box + 1)
+        cost = (2 * box + 1) ** (n - 1) + whole_columns(gram, n, target, box) * (2 * box + 1)
         for tally in (False, True):
-            assert kernels.enum_norm_vectors(gram, n, target, box, tally=tally, budget=cost) \
-                == kernels.enum_norm_vectors(gram, n, target, box, tally=tally)
-            if cost:
-                with pytest.raises(TooLargeError, match="whole columns"):
-                    kernels.enum_norm_vectors(gram, n, target, box, tally=tally, budget=cost - 1)
+            unbounded = kernels.enum_norm_vectors(gram, n, target, box, tally=tally)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels, "ENUM_STEP_BUDGET", cost)
+                assert kernels.enum_norm_vectors(gram, n, target, box, tally=tally) == unbounded
+                patch.setattr(kernels, "ENUM_STEP_BUDGET", cost - 1)
+                if cost > (2 * box + 1) ** (n - 1):
+                    with pytest.raises(TooLargeError, match="whole columns"):
+                        kernels.enum_norm_vectors(gram, n, target, box, tally=tally)
+                else:
+                    assert kernels.enum_norm_vectors(gram, n, target, box, tally=tally) \
+                        == unbounded
 
     def test_rank_zero_and_negative_box(self):
         assert kernels.enum_norm_vectors([], 0, 0, 2) == []

@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
-from orthlat import kernels, lattice as lattice_module
+from orthlat import kernels
 from orthlat.errors import (
     NotIntegralError,
     OddDiagonalError,
@@ -14,8 +14,8 @@ from orthlat.errors import (
     TooLargeError,
     ZeroVectorError,
 )
+from orthlat.kernels import ENUM_STEP_BUDGET
 from orthlat.lattice import (
-    ENUM_STEP_BUDGET,
     Lattice,
     build,
     lattice_from_json,
@@ -307,7 +307,7 @@ class TestEnumeration:
             lat.half_space_vectors(0, 499999, tally=True)
         assert time.process_time() - start < 1.0
         # 2 box + 1 steps and one column of 2 box + 1 hits, against 100
-        monkeypatch.setattr(lattice_module, "ENUM_STEP_BUDGET", 100)
+        monkeypatch.setattr(kernels, "ENUM_STEP_BUDGET", 100)
         assert sum(count for _, count in lat.half_space_vectors(0, 24, tally=True)) == 48
         with pytest.raises(TooLargeError, match="whole columns"):
             lat.half_space_vectors(0, 25, tally=True)
