@@ -23,7 +23,8 @@ per value, a value whose discriminant is negative or not a perfect
 square (``math.isqrt``) is dropped before any tuple is built, and x is
 solved exactly from the square root in place; when the last basis
 vector is isotropic the equation is linear, and its coefficients are
-stepped the same way.  Ranks 1 and 2 are the zero prefix alone.  The
+stepped the same way.  Below rank 3 the scan is the same, over 3 - n
+virtual leading coordinates held at 0 and stripped from the hits.  The
 work is about half of (2 box + 1)^(n - 3) odometer steps, of
 (2 box + 1)^(n - 2) steps of coordinate n - 3 and of (2 box + 1)^(n - 1)
 steps of coordinate n - 2, not (2 box + 1)^n norms of O(n^2) each.
@@ -64,32 +65,6 @@ def imat_mul(a, b, n, k, m):
     return out
 
 
-def _last_coordinates(a, b, c, box):
-    """The x in [-box, box] with a x^2 + 2 b x + c == 0, ascending."""
-    if a == 0:
-        if b == 0:
-            return range(-box, box + 1) if c == 0 else ()
-        x, r = divmod(-c, 2 * b)
-        return (x,) if r == 0 and -box <= x <= box else ()
-    disc = b * b - a * c
-    if disc < 0 or (r := isqrt(disc)) * r != disc:
-        return ()
-    ends = (-b - r, -b + r) if a > 0 else (-b + r, -b - r)
-    return [x for x, m in (divmod(t, a) for t in ends[:1 + (r > 0)])
-            if m == 0 and -box <= x <= box]
-
-
-def _charged(budget, box, target):
-    """The budget left after one whole column of 2 box + 1 hits; raises
-    TooLargeError once it is spent."""
-    budget -= 2 * box + 1
-    if budget < 0:
-        raise TooLargeError(
-            f"box {box} at norm {target}: whole columns of {2 * box + 1} vectors "
-            f"overrun the enumeration budget")
-    return budget
-
-
 def enum_norm_vectors(gram, n, target, box, *, tally=False):
     """The integer coordinate vectors v in [-box, box]^n with
     v^T G v == target whose first nonzero coordinate is negative.
@@ -108,16 +83,20 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
     coordinate that all hit (a == b == c == 0 below), is charged 2 box + 1
     against ENUM_STEP_BUDGET less the (2 box + 1)^(n - 1) steps of the
     box, in tally mode too, and TooLargeError is raised once the charges
-    pass it.
+    pass it.  When a == target == 0 the zero prefix's own column is
+    whole, and a box it alone overruns is refused before the scan.
 
-    Ranks 1 and 2 are the zero prefix alone, solved value by value.
-    From rank 3 on, the first n - 3 coordinates run through the box as
-    an odometer (the last of them fastest) carrying g = G v and the norm
-    p of the prefix; it stops at the zero prefix, as every later prefix
-    has a positive first nonzero entry.  Coordinate n - 3 (z) is a
-    scalar loop over z <= 0 behind the zero prefix: from z to z + 1 the
-    norm grows by 2 g[n-3] + (2 z + 1) G[n-3][n-3] (a step that itself
-    grows by 2 G[n-3][n-3]), and g[n-2], g[n-1] grow by G[n-3][n-2],
+    Below rank 3 the Gram matrix is padded with 3 - n leading virtual
+    coordinates whose rows and columns are zero: z (and y at rank 1) is
+    held at 0, every step coefficient it feeds is 0, and the padding is
+    stripped from the hits at the end.  The first n - 3 coordinates run
+    through the box as an odometer (the last of them fastest) carrying
+    g = G v and the norm p of the prefix; it stops at the zero prefix,
+    as every later prefix has a positive first nonzero entry.
+    Coordinate n - 3 (z) is a scalar loop over z <= 0 behind the zero
+    prefix: from z to z + 1 the norm grows by
+    2 g[n-3] + (2 z + 1) G[n-3][n-3] (a step that itself grows by
+    2 G[n-3][n-3]), and g[n-2], g[n-1] grow by G[n-3][n-2],
     G[n-3][n-1], so a z step is four additions.  Coordinate n - 2 (y)
     is then scanned with scalars too (over y <= 0 behind the zero prefix
     and z = 0, keeping x < 0 at y = 0): with it at y the full norm is
@@ -142,27 +121,11 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
         return []
     budget = ENUM_STEP_BUDGET - (2 * box + 1) ** (n - 1)
     out, tallies = [], {}
-    if n <= 2:
-        # y in [-box, 0] (y = 0 alone at n = 1), keeping x < 0 at y = 0;
-        # a tally keys a hit by y mod 2 and x mod 2
-        a = gram[-1]
-        s, e = (gram[1], gram[0]) if n == 2 else (0, 0)
-        ys = range(-box, 1) if n == 2 else (0,)
-        if not a:   # whole columns, where b = y s and c = y^2 e - target vanish
-            for y in ys if not s else (0,):
-                if y * y * e == target:
-                    budget = _charged(budget, box, target)
-        for y in ys:
-            for x in _last_coordinates(a, y * s, y * y * e - target, box):
-                if not (y or x < 0):
-                    break
-                if not tally:
-                    out.append((y, x)[2 - n:])
-                elif (hit := tallies.get(k := (y & 1) << 1 | x & 1)) is None:
-                    tallies[k] = [(y, x)[2 - n:], 1]
-                else:
-                    hit[1] += 1
-        return list(tallies.values()) if tally else out
+    pad = max(3 - n, 0)                   # virtual coordinates below rank 3
+    if pad:
+        gram = [0] * 3 * pad + [x for i in range(0, n * n, n)
+                                for x in [0] * pad + gram[i:i + n]]
+        n = 3
     m, yi, last = n - 3, n - 2, n - 1     # odometer length; z is coordinate m
     a = gram[last * n + last]
     s = gram[yi * n + last]
@@ -173,6 +136,12 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
     span = 2 * box
     wraps = [[-span * x for x in col] for col in cols]
     full = range(-box, box + 1)
+    zs = range(-box, 1) if pad < 1 else (0,)
+    ys = range(-box, 1) if pad < 2 else (0,)
+    overrun = (f"box {box} at norm {target}: whole columns of {span + 1} "
+               f"vectors overrun the enumeration budget")
+    if not a and not target and budget <= span:
+        raise TooLargeError(overrun)     # the zero prefix's column, scanned last
     # the roots (-b -+ r) / a, ascending, are (w - r) / |a|, (w + r) / |a|
     # with w = -b sgn(a)
     alpha, sgn, mag = s * s - a * e, (a > 0) - (a < 0), abs(a)
@@ -190,7 +159,7 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
         dp = 2 * gz + (1 - span) * zz
         gy = g[yi] - box * zy
         gx = g[last] - box * zx
-        for z in full if below else range(-box, 1):
+        for z in full if below else zs:
             head = below or z              # falsy at the zero prefix and z = 0
             c = pz - target - box * (2 * gy - box * e)     # at y = -box
             b = gx - box * s
@@ -202,7 +171,7 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
                 # 2 b at y = -box, and the first step of c
                 tb = 2 * b
                 dc = 2 * gy + (1 - span) * e
-            for y in full if head else range(-box, 1):
+            for y in full if head else ys:
                 # the numerators ts of the candidate x over one divisor dv
                 if a:
                     if disc < 0 or (r := isqrt(disc)) * r != disc:
@@ -225,7 +194,9 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
                     elif cy:
                         continue
                     else:
-                        budget = _charged(budget, box, target)
+                        budget -= span + 1
+                        if budget < 0:
+                            raise TooLargeError(overrun)
                         ts, dv = full, 1
                 top = box if head or y else -1
                 for t in ts:
@@ -246,7 +217,9 @@ def enum_norm_vectors(gram, n, target, box, *, tally=False):
             gy += zy
             gx += zx
         if not below:
-            return list(tallies.values()) if tally else out
+            if tally:
+                return [[hit[pad:], count] for hit, count in tallies.values()]
+            return [hit[pad:] for hit in out] if pad else out
         below -= 1
         # advance: a coordinate at +box wraps to -box (same parity) and
         # carries left; moving v[k] by t adds 2 t g[k] + t^2 G[k][k]

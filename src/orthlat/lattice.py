@@ -50,6 +50,8 @@ class Lattice:
     __slots__ = ("gram", "rank", "labels", "_rows", "_cache")
 
     def __init__(self, gram: Mat, labels=None):
+        if gram.n != gram.m:
+            raise ValueError("Gram matrix must be square")
         if not gram.is_integral():
             raise ValueError("Gram matrix must be integral")
         if not gram.is_symmetric():

@@ -133,6 +133,15 @@ class TestLattice:
         assert data["representsMinus2"] == {"found": True, "searchBox": 0,
                                             "vector": ["1", "-1"] + ["0"] * 19}
 
+    def test_kneser_file_root_from_the_box_search(self, capsys, tmp_path):
+        # no plane and no -2 on the diagonal: the root comes from the box
+        path = tmp_path / "rank2.json"
+        path.write_text(json.dumps({"gram": [["2", "3"], ["3", "2"]]}))
+        code, data = run_json(capsys, "lattice", "kneser", "--file", str(path), "--box", "1")
+        assert code == 0
+        assert data["representsMinus2"] == {"found": True, "searchBox": 1,
+                                            "vector": ["-1", "1"]}
+
     def test_census_file_planes_off_the_basis_missing_splitting(self, capsys, tmp_path,
                                                                 skewed):
         # finding a plane that no two basis vectors span is left open

@@ -279,7 +279,7 @@ class TestEnumeration:
         assert lat.enumerate_vectors(-2, 0) == []
 
     def test_rank_one_any_box(self):
-        # one odometer step: the last coordinate is solved, not searched
+        # z and y are virtual and held at 0: x is solved once, not searched
         assert build("<-2>").enumerate_vectors(-2, 10 ** 9) == [Vec([-1]), Vec([1])]
 
     def test_over_budget_raises_before_enumerating(self, monkeypatch):
@@ -390,3 +390,8 @@ class TestJson:
     def test_gram_entries_read_as_scalars(self):
         lat = lattice_from_json({"gram": [["0", "4/4"], ["2/2", "-6/3"]]})
         assert lat.gram.int_rows() == [[0, 1], [1, -2]]
+
+    @pytest.mark.parametrize("rows", [[[]], [[1, 2]]])
+    def test_non_square_gram_refused(self, rows):
+        with pytest.raises(ValueError, match="Gram matrix must be square"):
+            lattice_from_json({"gram": rows})
