@@ -155,12 +155,6 @@ class DiscElement:
             o = lcm(o, d // gcd(c, d))
         return o
 
-    def q(self) -> Fraction:
-        return self.form.q(self)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __eq__(self, other):
         return isinstance(other, DiscElement) and self.coords == other.coords \
             and self.form.lattice == other.form.lattice

@@ -21,10 +21,6 @@ class OddDiagonalError(OrthlatError):
     code = "odd-diagonal"
 
 
-class ZeroVectorError(OrthlatError):
-    code = "zero-vector"
-
-
 class NotPrimitiveError(OrthlatError):
     code = "not-primitive"
 

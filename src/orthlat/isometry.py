@@ -33,19 +33,23 @@ from orthlat.linalg import Mat, Vec, as_scalar, congruence_diagonalize, parse_sc
 
 
 class Isometry:
-    """An exact matrix preserving the bilinear form of its lattice."""
+    """An exact matrix preserving the bilinear form of its lattice.  The
+    constructor always runs Lattice.check_isometry; ``_trusted``, the one
+    unchecked path, is private to this module (atoms, their products and
+    the matrix ``membership`` has checked)."""
 
     __slots__ = ("lattice", "mat")
 
-    def __init__(self, lattice: Lattice, mat: Mat, _checked: bool = False):
-        if not _checked:
-            lattice.check_isometry(mat)
+    def __init__(self, lattice: Lattice, mat: Mat):
+        lattice.check_isometry(mat)
         self.lattice = lattice
         self.mat = mat
 
     @classmethod
     def _trusted(cls, lattice: Lattice, mat: Mat) -> "Isometry":
-        return cls(lattice, mat, _checked=True)
+        self = object.__new__(cls)
+        self.lattice, self.mat = lattice, mat
+        return self
 
     @classmethod
     def identity(cls, lattice: Lattice) -> "Isometry":

@@ -1,8 +1,8 @@
 """Even integral lattices: builders, arithmetic invariants and
 bounded vector enumeration.
 
-A lattice is a symmetric integer Gram matrix with even diagonal and
-nonzero determinant, plus optional basis labels, and nothing else.
+A lattice is a nonempty symmetric integer Gram matrix, even on the
+diagonal and nonsingular, plus optional basis labels, and nothing else.
 Builders assemble direct sums of the standard pieces (hyperbolic plane
 U, rank-one even forms, A2, E8, and rescalings); the hyperbolic planes
 that give root witnesses and splittings are read off the Gram matrix.
@@ -21,7 +21,6 @@ from orthlat.errors import (
     OddDiagonalError,
     SpecParseError,
     TooLargeError,
-    ZeroVectorError,
 )
 from orthlat.linalg import Mat, Vec, as_scalar, parse_scalar, signature_of, smith_normal_form
 
@@ -52,6 +51,8 @@ class Lattice:
     def __init__(self, gram: Mat, labels=None):
         if gram.n != gram.m:
             raise ValueError("Gram matrix must be square")
+        if gram.n == 0:
+            raise ValueError("Gram matrix must not be empty")
         if not gram.is_integral():
             raise ValueError("Gram matrix must be integral")
         if not gram.is_symmetric():
@@ -138,17 +139,6 @@ class Lattice:
         Smith invariant factors coprime to p."""
         _, s, _ = self.snf()
         return sum(1 for i in range(self.rank) if int(s[i, i]) % p)
-
-    # -- divisors ------------------------------------------------------
-    def divisor(self, v) -> int:
-        """Positive generator of the ideal of inner products (v, L) of a
-        nonzero lattice vector; a non-integral v raises NotIntegralError."""
-        v = Vec(v)
-        if v.is_zero():
-            raise ZeroVectorError("divisor of the zero vector")
-        if not v.is_integral():
-            raise NotIntegralError("divisor of a non-integral vector")
-        return self.gram_apply(v).content()
 
     # -- enumeration ----------------------------------------------------
     def half_space_vectors(self, norm, box, tally: bool = False) -> list:

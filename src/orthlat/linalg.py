@@ -111,12 +111,6 @@ class Vec:
     def __hash__(self):
         return hash((self._den, self._ents))
 
-    def __lt__(self, other):
-        """Lexicographic order of the entries."""
-        if self._den == other._den:
-            return self._ents < other._ents
-        return tuple(self) < tuple(other)
-
     def __add__(self, other):
         other = Vec(other)
         d = lcm(self._den, other._den)
@@ -152,10 +146,6 @@ class Vec:
     def is_integral(self) -> bool:
         return self._den == 1
 
-    def content(self) -> int:
-        """gcd of the entries (integral vectors only)."""
-        return gcd(*self)
-
     def __repr__(self):
         return f"Vec({list(self)!r})"
 
@@ -186,10 +176,6 @@ class Mat:
     @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls._raw(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)], 1)
-
-    @classmethod
-    def zero(cls, n: int, m: int) -> "Mat":
-        return cls._raw(n, m, [0] * (n * m), 1)
 
     @property
     def shape(self):
@@ -259,8 +245,6 @@ class Mat:
             ents = kernels.imat_mul(list(self._ents), list(other._ents),
                                     self.n, self.m, other.m)
             return Mat._raw(self.n, other.m, ents, self._den * other._den)
-        if isinstance(other, (Vec, tuple, list)):
-            return self.apply(other)
         return NotImplemented
 
     def apply(self, v) -> Vec:

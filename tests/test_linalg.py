@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -84,7 +83,6 @@ class TestVecMat:
         assert 2 * Vec([1, 2]) == Vec([2, 4])
         assert Vec([2, 4]) / 2 == Vec([1, 2])
         assert Vec([Fraction(1, 2)]).is_integral() is False
-        assert Vec([4, 6]).content() == 2
 
     def test_mat_normalization(self):
         m = Mat([[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
@@ -96,7 +94,7 @@ class TestVecMat:
         a = Mat([[1, 2], [3, 4]])
         assert a @ a.inv() == Mat.identity(2)
         assert a.det() == -2
-        assert a @ Vec([1, 1]) == Vec([3, 7])
+        assert a.apply(Vec([1, 1])) == Vec([3, 7])
         assert a.transpose() == Mat([[1, 3], [2, 4]])
 
     def test_singular_inverse(self):
@@ -479,19 +477,9 @@ class TestVecProperties:
         assert (u == w) == (oracle(a) == oracle(b))
         if u == w:
             assert hash(u) == hash(w)
-        assert (u < w) == (oracle(a) < oracle(b))
-        assert (w < u) == (oracle(b) < oracle(a))
-
-    @PROPERTY
-    @given(xss=st.lists(entries(3), max_size=8))
-    def test_sorted_is_tuple_order(self, xss):
-        got = [tuple(v) for v in sorted(Vec(xs) for xs in xss)]
-        assert got == sorted(oracle(xs) for xs in xss)
-
-    @PROPERTY
-    @given(xs=st.lists(ints, max_size=6))
-    def test_content(self, xs):
-        assert Vec(xs).content() == gcd(*xs)
+        # vectors have no order: sorting them raises instead of picking one
+        with pytest.raises(TypeError):
+            u < w
 
     @PROPERTY
     @given(n=st.integers(1, 5), m=st.integers(1, 5), data=st.data())

@@ -12,6 +12,15 @@ methods are reached with their class. Matching by name alone can only
 over-approximate (any ``.apply`` reaches every method ``apply``), so
 the walk may miss dead code but never calls live code dead. Tests are
 not roots: code that only tests call is dead here.
+
+The over-approximation hides a dead method whose name is common, and
+every dunder of a reached class. ``Lattice.divisor``, ``Mat.zero``,
+``DiscElement.q`` and ``DiscElement.is_zero`` passed as reached because
+live code uses the names ``divisor``, ``zero``, ``q`` and ``is_zero``
+for other things, and ``Vec.__lt__`` passed with ``Vec``. They were
+found by tracing, with ``sys.setprofile``, every CLI command of the
+README and one pass of each perfbench workload, and were deleted as
+never run; that trace is the way to find such cases.
 """
 
 import ast
@@ -138,3 +147,19 @@ def test_a_dead_chain_is_reported():
         "    return _reduce_into_l1(split, v)\n"
     )
     assert unreached(sources) == ["eichler._plane_word", "eichler.so22_reduce"]
+
+
+def trusted_users(sources) -> list[str]:
+    """Modules other than isometry that name Isometry._trusted."""
+    return sorted(module for module, text in sources.items()
+                  if module != "isometry" and "_trusted" in used_names([ast.parse(text)]))
+
+
+def test_unchecked_isometries_stay_in_isometry():
+    """Isometry._trusted skips Lattice.check_isometry. Only isometry.py,
+    which wraps atoms and their products with it, may name it, so every
+    Isometry built elsewhere went through the checking constructor."""
+    assert trusted_users(library_sources()) == []
+    sources = library_sources()
+    sources["jacobi"] += "\n\ndef unchecked(lat, m):\n    return Isometry._trusted(lat, m)\n"
+    assert trusted_users(sources) == ["jacobi"]
