@@ -134,6 +134,14 @@ def cmd_lattice_kneser(args) -> dict:
     }
 
 
+def _invariant_json(inv: eichler.OrbitInvariant) -> dict:
+    return {
+        "norm": str(inv.norm),
+        "class": list(inv.disc_class.coords),
+        "divisor": str(inv.divisor),
+    }
+
+
 def cmd_lattice_census(args) -> dict:
     lat = _load_lattice(args)
     split = eichler.standard_splitting(lat)
@@ -142,13 +150,8 @@ def cmd_lattice_census(args) -> dict:
         "box": rep.box,
         "classCount": rep.class_count(),
         "classes": [
-            {
-                "norm": str(entry.invariant.norm),
-                "class": list(entry.invariant.disc_class.coords),
-                "divisor": str(entry.invariant.divisor),
-                "count": entry.count,
-                "witness": _fmt_vec(entry.witness),
-            }
+            {**_invariant_json(entry.invariant), "count": entry.count,
+             "witness": _fmt_vec(entry.witness)}
             for entry in rep.entries
         ],
     }
@@ -209,14 +212,6 @@ def cmd_elem_transvect(args) -> dict:
     data = _payload(args)
     t = transvection(lat, _parse_vec(_need(data, "e")), _parse_vec(_need(data, "a")))
     return {"matrix": _fmt_mat(t.mat)}
-
-
-def _invariant_json(inv: eichler.OrbitInvariant) -> dict:
-    return {
-        "norm": str(inv.norm),
-        "class": list(inv.disc_class.coords),
-        "divisor": str(inv.divisor),
-    }
 
 
 def cmd_orbit_equiv(args) -> dict:
@@ -331,80 +326,51 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_lattice_args(p):
-    p.add_argument("--spec", help='block spec, e.g. "2U+2E8(-1)+<-6>"')
-    p.add_argument("--file", help="lattice JSON file")
+# (flag, argparse keyword arguments) of each option, grouped as the
+# commands share them
+_LATTICE = (("--spec", {"help": 'block spec, e.g. "2U+2E8(-1)+<-6>"'}),
+            ("--file", {"help": "lattice JSON file"}))
+_PAYLOAD = (("--json", {"help": "inline JSON payload"}),
+            ("--payload-file", {"help": "file with the JSON payload"}))
+_COMPLEMENT = (("--spec", {"help": "block spec of the small complement, default <-2>"}),)
+_BOX = (("--box", {"type": int, "default": 2}),)
+_CAP = (("--cap", {"type": int, "default": 10000}),)
+_SEED = (("--seed", {"type": int, "default": 0}),)
+_PARAMODULAR = (("--paramodular", {"type": int, "nargs": "*", "default": [1, 2, 5]}),)
 
-
-def _add_payload_args(p):
-    p.add_argument("--json", help="inline JSON payload")
-    p.add_argument("--payload-file", help="file with the JSON payload")
+# (group, command, handler, options), in the order the help lists them
+COMMANDS = (
+    ("lattice", "info", cmd_lattice_info, _LATTICE),
+    ("lattice", "kneser", cmd_lattice_kneser, _LATTICE + _BOX),
+    ("lattice", "census", cmd_lattice_census, _LATTICE + _BOX),
+    ("disc", "form", cmd_disc_form, _LATTICE + _CAP),
+    ("disc", "autgroup", cmd_disc_autgroup, _LATTICE + _CAP),
+    ("elem", "check", cmd_elem_check, _LATTICE + _PAYLOAD),
+    ("elem", "spinor", cmd_elem_spinor, _LATTICE + _PAYLOAD),
+    ("elem", "reflect", cmd_elem_reflect, _LATTICE + _PAYLOAD),
+    ("elem", "transvect", cmd_elem_transvect, _LATTICE + _PAYLOAD),
+    ("orbit", "equiv", cmd_orbit_equiv, _LATTICE + _PAYLOAD),
+    ("orbit", "transport", cmd_orbit_transport, _LATTICE + _PAYLOAD),
+    ("jacobi", "embed", cmd_jacobi_embed, _COMPLEMENT + _PAYLOAD),
+    ("jacobi", "verify", cmd_jacobi_verify, _COMPLEMENT + _SEED + _PARAMODULAR),
+    ("witness", "p4", cmd_witness_p4, _COMPLEMENT + _PAYLOAD),
+    ("witness", "transvection", cmd_witness_transvection, _COMPLEMENT + _PAYLOAD),
+    ("witness", "master", cmd_witness_master, _COMPLEMENT + _PAYLOAD),
+    ("suite", "run", cmd_suite_run, _SEED),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     root = _Parser(prog="orthlat", description=__doc__)
     top = root.add_subparsers(dest="group", required=True)
-
-    lat = top.add_parser("lattice").add_subparsers(dest="cmd", required=True)
-    p = lat.add_parser("info")
-    _add_lattice_args(p)
-    p.set_defaults(func=cmd_lattice_info)
-    p = lat.add_parser("kneser")
-    _add_lattice_args(p)
-    p.add_argument("--box", type=int, default=2)
-    p.set_defaults(func=cmd_lattice_kneser)
-    p = lat.add_parser("census")
-    _add_lattice_args(p)
-    p.add_argument("--box", type=int, default=2)
-    p.set_defaults(func=cmd_lattice_census)
-
-    disc = top.add_parser("disc").add_subparsers(dest="cmd", required=True)
-    for name, fn in (("form", cmd_disc_form), ("autgroup", cmd_disc_autgroup)):
-        p = disc.add_parser(name)
-        _add_lattice_args(p)
-        p.add_argument("--cap", type=int, default=10000)
-        p.set_defaults(func=fn)
-
-    elem = top.add_parser("elem").add_subparsers(dest="cmd", required=True)
-    for name, fn in (("check", cmd_elem_check), ("spinor", cmd_elem_spinor),
-                     ("reflect", cmd_elem_reflect), ("transvect", cmd_elem_transvect)):
-        p = elem.add_parser(name)
-        _add_lattice_args(p)
-        _add_payload_args(p)
-        p.set_defaults(func=fn)
-
-    orbit = top.add_parser("orbit").add_subparsers(dest="cmd", required=True)
-    for name, fn in (("equiv", cmd_orbit_equiv), ("transport", cmd_orbit_transport)):
-        p = orbit.add_parser(name)
-        _add_lattice_args(p)
-        _add_payload_args(p)
-        p.set_defaults(func=fn)
-
-    jac = top.add_parser("jacobi").add_subparsers(dest="cmd", required=True)
-    p = jac.add_parser("embed")
-    p.add_argument("--spec", help="block spec of the small complement, default <-2>")
-    _add_payload_args(p)
-    p.set_defaults(func=cmd_jacobi_embed)
-    p = jac.add_parser("verify")
-    p.add_argument("--spec", help="block spec of the small complement, default <-2>")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paramodular", type=int, nargs="*", default=[1, 2, 5])
-    p.set_defaults(func=cmd_jacobi_verify)
-
-    wit = top.add_parser("witness").add_subparsers(dest="cmd", required=True)
-    for name, fn in (("p4", cmd_witness_p4),
-                     ("transvection", cmd_witness_transvection),
-                     ("master", cmd_witness_master)):
-        p = wit.add_parser(name)
-        p.add_argument("--spec", help="block spec of the small complement, default <-2>")
-        _add_payload_args(p)
-        p.set_defaults(func=fn)
-
-    st = top.add_parser("suite").add_subparsers(dest="cmd", required=True)
-    p = st.add_parser("run")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_suite_run)
-
+    groups = {}
+    for group, name, func, options in COMMANDS:
+        if group not in groups:
+            groups[group] = top.add_parser(group).add_subparsers(dest="cmd", required=True)
+        p = groups[group].add_parser(name)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return root
 
 

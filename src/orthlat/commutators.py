@@ -83,7 +83,6 @@ class CommutatorCertificate:
     target: Isometry
     pairs: tuple[tuple[GroupWord, GroupWord], ...]
     tail: GroupWord
-    scope: str = "rational"
 
     def word(self) -> GroupWord:
         out = GroupWord(self.target.lattice)
@@ -108,7 +107,7 @@ class CommutatorCertificate:
 
     def to_json(self) -> dict:
         return {
-            "scope": self.scope,
+            "scope": "rational",
             "commutators": [
                 {"x": x.to_json(), "y": y.to_json()} for x, y in self.pairs
             ],

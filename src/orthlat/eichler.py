@@ -5,8 +5,8 @@ L1 = U1 + L0, so that each word certifies its own subgroup membership.
 The module moves a vector into L1 by Euclidean reduction of its 2x2
 plane coordinates, reads off the orbit invariant (norm, discriminant
 class) that decides equivalence of primitive vectors, transports one
-vector to another, rewrites a root reflection against a fixed anchor
-mirror, and counts roots by orbit invariant.
+vector to another, rewrites a root reflection against the mirror
+e - f, and counts roots by orbit invariant.
 """
 
 from __future__ import annotations
@@ -327,27 +327,20 @@ def transport_witness(split: HyperbolicSplitting, u, v) -> GroupWord:
     return word
 
 
-def rewrite_reflection(split: HyperbolicSplitting, r, mirror=None) -> GroupWord:
-    """rho in the transvection group with s_r == eval(rho) * s_mirror.
+def rewrite_reflection(split: HyperbolicSplitting, r) -> GroupWord:
+    """rho in the transvection group with s_r == eval(rho) * s_(e-f).
 
-    The anchor mirror defaults to e - f.  The root is first moved into
-    L1, where its reflection factors through three transvections times
-    the anchor; conjugating back keeps every atom a transvection.
+    The root is first moved into L1, where its reflection factors
+    through three transvections times the anchor e - f; conjugating
+    back keeps every atom a transvection.
     """
     lat = split.lattice
     r = Vec(r)
     if lat.norm(r) != -2:
         raise NotRootError("rewrite applies to vectors of square -2")
-    anchor = split.e - split.f if mirror is None else Vec(mirror)
-    if anchor == split.e - split.f:
-        rho = _rewrite_against_ef(split, r)
-    else:
-        if lat.norm(anchor) != -2:
-            raise NotRootError("anchor mirror must have square -2")
-        rho_r = _rewrite_against_ef(split, r)
-        rho_m = _rewrite_against_ef(split, anchor)
-        rho = rho_r.then(rho_m.inverse())
-    if GroupWord(lat, rho.atoms + (ReflectionAtom(anchor),)).evaluate() != reflection(lat, r):
+    rho = _rewrite_against_ef(split, r)
+    anchor = ReflectionAtom(split.e - split.f)
+    if GroupWord(lat, rho.atoms + (anchor,)).evaluate() != reflection(lat, r):
         raise InternalSolveFailureError("reflection rewrite failed to verify")
     return rho
 

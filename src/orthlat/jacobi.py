@@ -135,21 +135,6 @@ def sl2_generator_checks(split: HyperbolicSplitting) -> list[IdentityCheck]:
     return checks
 
 
-def sigma1_conjugation_sign(split: HyperbolicSplitting) -> int:
-    """Fixed sign s with (S s1 S s1) t(e,u) (S s1 S s1)^{-1} == t(f, s*u).
-
-    The composite maps e to -f, so s = -1 under this basis convention;
-    computed rather than assumed."""
-    s1 = ReflectionAtom(split.e1 - split.f1).to_isometry(split.lattice)
-    s = s_element(split)
-    img = (s * s1 * s * s1).apply(split.e)
-    if img == -split.f:
-        return -1
-    if img == split.f:
-        return 1
-    raise ValueError("conjugator does not carry e to +-f")
-
-
 def verify_plane_identities(split: HyperbolicSplitting, vectors=()) -> list[IdentityCheck]:
     """S^2, the sigma1 conjugations, and the generator correspondences."""
     lat = split.lattice
@@ -165,8 +150,13 @@ def verify_plane_identities(split: HyperbolicSplitting, vectors=()) -> list[Iden
         "s1 t(f,e1) s1 == t(f,f1)",
         GroupWord(lat, (r1, TransvectionAtom(split.f, split.e1), r1)).evaluate()
         == transvection(lat, split.f, split.f1)))
-    sign = sigma1_conjugation_sign(split)
+    # gamma carries e to -f, so the sign is -1 under this basis
+    # convention; it is read off rather than assumed
     gamma = s * s1 * s * s1
+    img = gamma.apply(split.e)
+    if img not in (split.f, -split.f):
+        raise ValueError("conjugator does not carry e to +-f")
+    sign = 1 if img == split.f else -1
     # gamma t gamma^-1 == t' checked as gamma t == t' gamma
     ok = all(gamma * transvection(lat, split.e, uf)
              == transvection(lat, split.f, sign * uf) * gamma

@@ -127,23 +127,19 @@ def _plane_commutators(split, rng) -> bool:
     return ch.verify() and ct.verify() and ct.groups_are_commutators()
 
 
-def run_commutator_block(rng) -> list[dict]:
-    split = standard_splitting(build("2U+A2"))
-    lat = split.lattice
-    out = []
-
-    ok = True
-    ran = 0
-    while ran < 50:
+def _master_scaling(split, rng) -> bool:
+    """The master identity at a draw (w, s), drawn again while the scale
+    1 - s (w, w)/2 is 0."""
+    while True:
         w = sampling.l1_vector(split, rng)
         s = sampling.rational(rng, 3)
-        if 1 - s * Fraction(lat.norm(w)) / 2 == 0:
-            continue
-        ran += 1
-        if not commutators.verify_master_identity(split, w, s):
-            ok = False
-            break
-    out.append(_check("master scaling rule", ran, ok))
+        if 1 - s * Fraction(split.lattice.norm(w)) / 2 != 0:
+            return commutators.verify_master_identity(split, w, s)
+
+
+def run_commutator_block(rng) -> list[dict]:
+    split = standard_splitting(build("2U+A2"))
+    out = [_holds("master scaling rule", 50, partial(_master_scaling, split, rng))]
 
     cert = commutators.certificate_p4(split)
     out.append(_check("four-transvection word for P(4)", 1,

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from orthlat import eichler, isometry
+from orthlat import cli, eichler, isometry
 from orthlat.cli import main
 from orthlat.lattice import build, lattice_to_json
 from orthlat.suite import IDENTITY_LATTICES
@@ -654,3 +655,46 @@ def test_file_round_trip_byte_identical(capsys, tmp_path, spec):
     path.write_text(info)
     for argv in _round_trip_commands(spec):
         assert run_cli(capsys, *argv, "--spec", spec) == run_cli(capsys, *argv, "--file", str(path))
+
+
+# -- the command table ----------------------------------------------------
+#
+# Each command's option flags with their defaults and its handler, as the
+# hand-built parser had them; help bytes differ across Python versions,
+# so the parsed structure is compared instead.
+
+_LATTICE_OPTS = {"--spec": None, "--file": None}
+_PAYLOAD_OPTS = {"--json": None, "--payload-file": None}
+_COMPLEMENT_OPTS = {"--spec": None}
+PARSER_COMMANDS = [
+    ("lattice", "info", "cmd_lattice_info", _LATTICE_OPTS),
+    ("lattice", "kneser", "cmd_lattice_kneser", {**_LATTICE_OPTS, "--box": 2}),
+    ("lattice", "census", "cmd_lattice_census", {**_LATTICE_OPTS, "--box": 2}),
+    ("disc", "form", "cmd_disc_form", {**_LATTICE_OPTS, "--cap": 10000}),
+    ("disc", "autgroup", "cmd_disc_autgroup", {**_LATTICE_OPTS, "--cap": 10000}),
+    ("elem", "check", "cmd_elem_check", {**_LATTICE_OPTS, **_PAYLOAD_OPTS}),
+    ("elem", "spinor", "cmd_elem_spinor", {**_LATTICE_OPTS, **_PAYLOAD_OPTS}),
+    ("elem", "reflect", "cmd_elem_reflect", {**_LATTICE_OPTS, **_PAYLOAD_OPTS}),
+    ("elem", "transvect", "cmd_elem_transvect", {**_LATTICE_OPTS, **_PAYLOAD_OPTS}),
+    ("orbit", "equiv", "cmd_orbit_equiv", {**_LATTICE_OPTS, **_PAYLOAD_OPTS}),
+    ("orbit", "transport", "cmd_orbit_transport", {**_LATTICE_OPTS, **_PAYLOAD_OPTS}),
+    ("jacobi", "embed", "cmd_jacobi_embed", {**_COMPLEMENT_OPTS, **_PAYLOAD_OPTS}),
+    ("jacobi", "verify", "cmd_jacobi_verify",
+     {**_COMPLEMENT_OPTS, "--seed": 0, "--paramodular": [1, 2, 5]}),
+    ("witness", "p4", "cmd_witness_p4", {**_COMPLEMENT_OPTS, **_PAYLOAD_OPTS}),
+    ("witness", "transvection", "cmd_witness_transvection",
+     {**_COMPLEMENT_OPTS, **_PAYLOAD_OPTS}),
+    ("witness", "master", "cmd_witness_master", {**_COMPLEMENT_OPTS, **_PAYLOAD_OPTS}),
+    ("suite", "run", "cmd_suite_run", {"--seed": 0}),
+]
+
+
+@pytest.mark.parametrize("group, command, handler, options", PARSER_COMMANDS,
+                         ids=[f"{g}-{c}" for g, c, _, _ in PARSER_COMMANDS])
+def test_command_table(capsys, group, command, handler, options):
+    args = cli.build_parser().parse_args([group, command])
+    assert vars(args) == {"group": group, "cmd": command, "func": getattr(cli, handler),
+                          **{flag[2:].replace("-", "_"): d for flag, d in options.items()}}
+    code, out = run_cli(capsys, group, command, "-h")
+    assert code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *options}

@@ -90,7 +90,7 @@ class TestP4:
         assert cert.verify()
         assert cert.target == p_map(sp, 4)
         assert len(cert.word()) == 4
-        assert cert.scope == "rational"
+        assert cert.to_json()["scope"] == "rational"
 
     def test_explicit_vector(self, sp):
         v6 = Vec([0, 0, 1, 1, 1, 1])  # e1 + f1 + a + b: norm 2 + 2 = 4? check below

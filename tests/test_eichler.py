@@ -400,13 +400,6 @@ class TestRewrite:
             assert rho.evaluate() * anchor == reflection(lat, r)
             assert rho.is_integral()
 
-    def test_alternate_anchor(self, l5):
-        lat, split = l5
-        m = split.e1 - split.f1
-        r = Vec([0, 0, 0, 0, 1])
-        rho = rewrite_reflection(split, r, mirror=m)
-        assert rho.evaluate() * reflection(lat, m) == reflection(lat, r)
-
     def test_rejects_non_root(self, l5):
         _, split = l5
         with pytest.raises(NotRootError):

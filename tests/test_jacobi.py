@@ -11,7 +11,6 @@ from orthlat.jacobi import (
     paramodular_flip_check,
     paramodular_lattice,
     s_element,
-    sigma1_conjugation_sign,
     sl2_generator_checks,
     stable_group_generators,
     verify_plane_identities,
@@ -177,7 +176,10 @@ class TestPlaneIdentities:
 
     def test_conjugation_sign_fixed(self, ja2):
         _, _, split = ja2
-        assert sigma1_conjugation_sign(split) == -1
+        check = verify_plane_identities(split, [[1, 0]])[-1]
+        assert check.name == "(S s1 S s1) t(e,u) (S s1 S s1)^-1 == t(f,-1*u)"
+        assert check.note == "conjugation sign -1"
+        assert check.holds
 
     def test_full_report(self, ja2):
         _, _, split = ja2
