@@ -11,7 +11,7 @@ import argparse
 import json
 from fractions import Fraction
 
-from orthlat import commutators, discform, eichler, jacobi, suite
+from orthlat import discform, eichler
 from orthlat.errors import OrthlatError
 from orthlat.isometry import (
     Isometry,
@@ -96,6 +96,8 @@ def _need(data: dict, key: str):
 
 
 def _jacobi_context(args):
+    from orthlat import jacobi
+
     l0 = build(args.spec) if args.spec else build("<-2>")
     return jacobi.jacobi_lattice(l0)
 
@@ -245,6 +247,8 @@ def cmd_orbit_transport(args) -> dict:
 
 
 def cmd_jacobi_embed(args) -> dict:
+    from orthlat import jacobi
+
     lat, split = _jacobi_context(args)
     data = _payload(args)
     if "A" in data:
@@ -264,6 +268,8 @@ def cmd_jacobi_embed(args) -> dict:
 
 def cmd_jacobi_verify(args) -> dict:
     import random
+
+    from orthlat import jacobi
 
     for t in args.paramodular:
         if t < 1:
@@ -290,6 +296,8 @@ def cmd_jacobi_verify(args) -> dict:
 
 
 def cmd_witness_p4(args) -> dict:
+    from orthlat import commutators
+
     _, split = _jacobi_context(args)
     data = _payload(args) if args.json is not None or args.payload_file is not None else {}
     v6 = _parse_vec(data["v6"]) if "v6" in data else None
@@ -297,6 +305,8 @@ def cmd_witness_p4(args) -> dict:
 
 
 def cmd_witness_transvection(args) -> dict:
+    from orthlat import commutators
+
     _, split = _jacobi_context(args)
     data = _payload(args)
     u = _parse_vec(_need(data, "u"))
@@ -304,6 +314,8 @@ def cmd_witness_transvection(args) -> dict:
 
 
 def cmd_witness_master(args) -> dict:
+    from orthlat import commutators
+
     _, split = _jacobi_context(args)
     data = _payload(args)
     w = _parse_vec(_need(data, "w"))
@@ -314,6 +326,8 @@ def cmd_witness_master(args) -> dict:
 
 
 def cmd_suite_run(args) -> dict:
+    from orthlat import suite
+
     return suite.run_suite(args.seed)
 
 

@@ -9,8 +9,8 @@ certificates over the rationals carry denominators 2 and 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from orthlat.eichler import HyperbolicSplitting
 from orthlat.errors import (
@@ -74,8 +74,7 @@ def verify_master_identity(split: HyperbolicSplitting, w, s) -> bool:
     return lhs.evaluate() == rhs.evaluate() * p_map(split, c * c)
 
 
-@dataclass(frozen=True)
-class CommutatorCertificate:
+class CommutatorCertificate(NamedTuple):
     """Target together with commutator pairs and an optional plain tail;
     the full word is the product of the groups x y x^-1 y^-1 followed
     by the tail."""

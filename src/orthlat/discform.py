@@ -15,11 +15,11 @@ full automorphism group of (D, q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from orthlat.errors import (
     InternalSolveFailureError,
@@ -133,8 +133,7 @@ class DiscriminantForm:
         return Fraction(sum(map(mul, self._row(x.coords), y.coords)) % n, n)
 
 
-@dataclass(frozen=True)
-class DiscElement:
+class DiscElement(NamedTuple):
     form: DiscriminantForm
     coords: tuple[int, ...]
 
@@ -177,8 +176,7 @@ def class_of(lattice: Lattice, v) -> DiscElement:
 # ---------------------------------------------------------------------
 # automorphisms of (D, q) and the reduction from O(L)
 
-@dataclass(frozen=True)
-class DiscAutomorphism:
+class DiscAutomorphism(NamedTuple):
     form: DiscriminantForm
     images: tuple[DiscElement, ...]   # images of the generators
 

@@ -11,8 +11,8 @@ e - f, and counts roots by orbit invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from orthlat.discform import DiscElement, discriminant_form
 from orthlat.errors import (
@@ -246,8 +246,7 @@ def _solve_row(row: list[int], d: int) -> list[int] | None:
 # ---------------------------------------------------------------------
 # the equivalence criterion and its constructive witness
 
-@dataclass(frozen=True)
-class OrbitInvariant:
+class OrbitInvariant(NamedTuple):
     norm: int
     disc_class: DiscElement
     divisor: int
@@ -258,12 +257,7 @@ class OrbitInvariant:
 
 def orbit_invariant(lattice: Lattice, v) -> OrbitInvariant:
     norm, divisor, cls = discriminant_form(lattice).primitive_invariant(v)
-    # the same object as OrbitInvariant(norm, cls, divisor), at less than
-    # half the cost of the frozen dataclass's __init__
-    inv = object.__new__(OrbitInvariant)
-    fields = inv.__dict__
-    fields["norm"], fields["disc_class"], fields["divisor"] = norm, cls, divisor
-    return inv
+    return OrbitInvariant(norm, cls, divisor)
 
 
 def invariant_pair(split: HyperbolicSplitting, u, v) -> tuple[OrbitInvariant, OrbitInvariant]:
@@ -369,15 +363,13 @@ def _rewrite_against_ef(split: HyperbolicSplitting, r: Vec) -> GroupWord:
 # ---------------------------------------------------------------------
 # census of roots by invariant
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     invariant: OrbitInvariant
     count: int
     witness: Vec
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     box: int
     entries: tuple[CensusEntry, ...]
 

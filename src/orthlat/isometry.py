@@ -13,10 +13,11 @@ evaluation map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from orthlat import discform
 from orthlat.errors import (
@@ -189,14 +190,16 @@ class _AtomAction:
     """Atoms act on vectors in words, and build their matrix, from one
     set of validated rank-update terms (c, x, G z) per lattice."""
 
+    __slots__ = ()
+
     def to_isometry(self, lattice: Lattice) -> Isometry:
         return Isometry._trusted(lattice, terms_matrix(lattice, self._cached_terms(lattice)))
 
     def _cached_terms(self, lattice: Lattice) -> list:
         """terms(lattice), validated once per lattice and kept in its
-        cache under the atom (atoms are frozen), which is cleared when it
-        holds ATOM_TERMS_CACHE_LIMIT atoms.  An atom that fails
-        validation raises on every call and is never stored."""
+        cache under the atom (atoms are immutable tuples), which is
+        cleared when it holds ATOM_TERMS_CACHE_LIMIT atoms.  An atom that
+        fails validation raises on every call and is never stored."""
         cache = lattice._cache.setdefault("atom_terms", {})
         terms = cache.get(self)
         if terms is None:
@@ -207,9 +210,8 @@ class _AtomAction:
         return terms
 
 
-@dataclass(frozen=True)
-class ReflectionAtom(_AtomAction):
-    mirror: Vec
+class ReflectionAtom(namedtuple("ReflectionAtom", "mirror"), _AtomAction):
+    __slots__ = ()
 
     def terms(self, lattice: Lattice) -> list:
         return _reflection_terms(lattice, self.mirror)
@@ -224,10 +226,8 @@ class ReflectionAtom(_AtomAction):
         return {"type": "reflection", "mirror": [str(x) for x in self.mirror]}
 
 
-@dataclass(frozen=True)
-class TransvectionAtom(_AtomAction):
-    e: Vec
-    a: Vec
+class TransvectionAtom(namedtuple("TransvectionAtom", "e a"), _AtomAction):
+    __slots__ = ()
 
     def terms(self, lattice: Lattice) -> list:
         return _transvection_terms(lattice, self.e, self.a)
@@ -470,8 +470,7 @@ def spinor_norm_q(g: Isometry, order=None) -> int:
 # ---------------------------------------------------------------------
 # membership flags
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     in_o: bool
     in_so: bool
     in_o_plus: bool

@@ -16,8 +16,8 @@ involution pair of the rank-5 family 2U + <-2t>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from orthlat.eichler import HyperbolicSplitting, standard_splitting
 from orthlat.errors import NotUnimodularError
@@ -104,8 +104,7 @@ def s_element(split: HyperbolicSplitting) -> Isometry:
     return jacobi_embed(split, Mat([[0, -1], [1, 0]]))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     holds: bool
     note: str = ""

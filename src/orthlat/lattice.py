@@ -11,7 +11,7 @@ that give root witnesses and splittings are read off the Gram matrix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from orthlat import kernels
 from orthlat.errors import (
@@ -218,8 +218,7 @@ class Lattice:
         )
 
 
-@dataclass(frozen=True)
-class KneserReport:
+class KneserReport(NamedTuple):
     witt_ok: bool
     rank2_ok: bool
     rank3_ok: bool

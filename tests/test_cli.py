@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -698,3 +702,27 @@ def test_command_table(capsys, group, command, handler, options):
     code, out = run_cli(capsys, group, command, "-h")
     assert code == 0
     assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *options}
+
+
+# -- cold start -------------------------------------------------------------
+#
+# Each command imports only what it runs: the jacobi, witness and suite
+# commands load their modules on first use, and no record class pulls
+# in dataclasses (and with it inspect). The interpreters run with -S, so
+# that no .pth file of the site packages preloads a module.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LAZY_MODULES = ("dataclasses", "orthlat.commutators", "orthlat.jacobi", "orthlat.suite")
+
+
+def test_cold_import_loads_no_command_only_module(capsys):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, orthlat.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe, *LAZY_MODULES], env=env,
+                            capture_output=True, text=True, check=True)
+    assert loaded.stdout == "[]\n"
+    argv = ["lattice", "info", "--spec", "U"]
+    cold = subprocess.run([sys.executable, "-S", "-m", "orthlat", *argv], env=env,
+                          capture_output=True, check=True)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and cold.stdout == out.encode()

@@ -303,10 +303,10 @@ class TestMembership:
 
     def test_non_isometry_all_false(self):
         lat = build("U")
-        assert not any(vars(membership(lat, Mat([[2, 0], [0, 1]]))).values())
-        assert not any(vars(membership(lat, Mat([[1, 0]]))).values())
+        assert not any(membership(lat, Mat([[2, 0], [0, 1]]))._asdict().values())
+        assert not any(membership(lat, Mat([[1, 0]]))._asdict().values())
         half = Mat([[Fraction(1, 2), 0], [0, 2]])
-        assert not any(vars(membership(lat, half)).values())
+        assert not any(membership(lat, half)._asdict().values())
 
     def test_checks_isometry_once(self, monkeypatch):
         # the all-False case comes from the one check inside is_stable

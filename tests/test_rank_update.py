@@ -285,7 +285,7 @@ class TestAtomAction:
                 base = split.e if rng.random() < 0.5 else split.f
                 c = rng.choice((1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)))
                 atoms.append(TransvectionAtom(g.apply(c * base), g.apply(l1_vector(split, rng))))
-        assert {x._den for at in atoms for x in vars(at).values()} <= {1, 2, 3, 6}
+        assert {x._den for at in atoms for x in at._asdict().values()} <= {1, 2, 3, 6}
         word = GroupWord(lat, atoms)
         v = sampled_vector(lat, rng)
         assert word.apply(v) == matrix_path(word, v) == word.evaluate().apply(v)
