@@ -7,9 +7,12 @@ reproducible from a single seed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from random import Random
 
 from orthlat.eichler import HyperbolicSplitting
+from orthlat.errors import InternalSolveFailureError
 from orthlat.isometry import (
     GroupWord,
     Isometry,
@@ -35,30 +38,38 @@ def nonzero_rational(rng: Random, bound: int = 4) -> Fraction:
             return x
 
 
+def _draw(rng: Random, rank: int, indices) -> Vec:
+    """Vector of length rank with a rational(rng, _BOUND) draw at each of
+    indices, in order, and 0 elsewhere: the numerators drawn by randint
+    and the denominators by choice, as rational draws them, over the lcm
+    of the denominators."""
+    randint, choice = rng.randint, rng.choice
+    nums, dens = [0] * rank, [1] * rank
+    for i in indices:
+        nums[i] = randint(-_BOUND, _BOUND)
+        dens[i] = choice(_DENOMS)
+    den = lcm(*dens)
+    return Vec._raw([n * (den // q) for n, q in zip(nums, dens)], den)
+
+
 def rational_vector(lat: Lattice, rng: Random) -> Vec:
-    return Vec(rational(rng, _BOUND) for _ in range(lat.rank))
+    return _draw(rng, lat.rank, range(lat.rank))
 
 
 def l1_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
     """Random rational vector supported away from the first plane."""
-    out = [Fraction(0)] * split.lattice.rank
-    for i in split.l1_indices:
-        out[i] = rational(rng, _BOUND)
-    return Vec(out)
+    return _draw(rng, split.lattice.rank, split.l1_indices)
 
 
 def l0_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
-    out = [Fraction(0)] * split.lattice.rank
-    for i in split.l0_indices:
-        out[i] = rational(rng, _BOUND)
-    return Vec(out)
+    return _draw(rng, split.lattice.rank, split.l0_indices)
 
 
 def integral_l1_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
     out = [0] * split.lattice.rank
     for i in split.l1_indices:
         out[i] = rng.randint(-_INTEGRAL_BOUND, _INTEGRAL_BOUND)
-    return Vec(out)
+    return Vec._raw(out)
 
 
 def integral_transvection_atom(split: HyperbolicSplitting, rng: Random) -> TransvectionAtom:
@@ -106,13 +117,24 @@ def isotropic_vector(split: HyperbolicSplitting, rng: Random) -> Vec:
 
 def orthogonal_to(lat: Lattice, rng: Random, e: Vec, anisotropic: bool = False) -> Vec:
     """Random rational vector orthogonal to e (nondegeneracy supplies a
-    pairing vector to project along): the first basis vector h with
-    (h, e) != 0, read off G e, which also gives every (w, e) = (G e).w."""
-    ge = lat.gram_apply(e)
+    pairing vector to project along): a = w - ((G e).w / g) b for a drawn
+    w, where g is the first nonzero entry of G e and b its basis vector.
+    With G e negated when g < 0, which leaves a as it is, a has the
+    numerators of w times g, less (G e).w at b, over g times the
+    denominator of w; so every test is an integer sum.
+
+    Raises InternalSolveFailureError unless (G e).a is 0."""
+    ge = lat.gram_apply(e)._ents
     i = next(i for i, x in enumerate(ge) if x)
-    h, he = lat.basis_vector(i), Fraction(ge[i])
+    if ge[i] < 0:
+        ge = [-x for x in ge]
+    g = ge[i]
     while True:
         w = rational_vector(lat, rng)
-        a = w - (Fraction(ge.dot(w)) / he) * h
-        if not anisotropic or lat.norm(a) != 0:
+        a = [x * g for x in w._ents]
+        a[i] -= sum(map(mul, ge, w._ents))
+        if sum(map(mul, ge, a)):
+            raise InternalSolveFailureError("projected vector is not orthogonal to e")
+        a = Vec._raw(a, w._den * g)
+        if not anisotropic or sum(map(mul, a._ents, lat.gram_apply(a)._ents)):
             return a

@@ -75,12 +75,15 @@ def _two_reflection_form(split, rng) -> bool:
 
 
 def _reflection_pair(split, rng) -> bool:
+    """The pair at a draw a in L1, drawn again while (a, a) is 0: an
+    isotropic a is no mirror."""
     lat = split.lattice
     e, f = split.e, split.f
-    a = sampling.l1_vector(split, rng)
-    n = lat.norm(a)
-    if n == 0:
-        return True
+    while True:
+        a = sampling.l1_vector(split, rng)
+        n = lat.norm(a)
+        if n != 0:
+            break
     beta = Fraction(2, n)
     return _same(lat, (t(f, a), t(e, beta * a), t(f, a)),
                  (sigma(a), sigma(e + (Fraction(n) / 2) * f)))

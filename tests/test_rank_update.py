@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orthlat import sampling
+from orthlat import sampling, suite
 from orthlat.commutators import p_map
 from orthlat.discform import discriminant_form, enumerate_orth_d
 from orthlat.eichler import standard_splitting
@@ -572,7 +572,73 @@ class TestValidationOrder:
         self.raises_every_time(lat, paths, IsotropicMirrorError, "mirror vector is isotropic")
 
 
+def rational_oracle(rng):
+    """The samplers' coordinate draw, built as a Fraction: the numerator
+    by randint, then the denominator by choice."""
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3)))
+
+
+def rational_vector_oracle(lat, rng):
+    return Vec(rational_oracle(rng) for _ in range(lat.rank))
+
+
+def supported_vector_oracle(rank, indices, rng):
+    out = [Fraction(0)] * rank
+    for i in indices:
+        out[i] = rational_oracle(rng)
+    return Vec(out)
+
+
+def integral_l1_vector_oracle(split, rng):
+    out = [0] * split.lattice.rank
+    for i in split.l1_indices:
+        out[i] = rng.randint(-2, 2)
+    return Vec(out)
+
+
+def orthogonal_to_oracle(lat, rng, e, anisotropic=False):
+    """w - ((G e).w / (G e)_i) b_i with Fraction division, for the first
+    basis vector b_i with (b_i, e) != 0."""
+    ge = lat.gram_apply(e)
+    i = next(i for i, x in enumerate(ge) if x)
+    h, he = lat.basis_vector(i), Fraction(ge[i])
+    while True:
+        w = rational_vector_oracle(lat, rng)
+        a = w - (Fraction(ge.dot(w)) / he) * h
+        if not anisotropic or lat.norm(a) != 0:
+            return a
+
+
 class TestSampler:
+    @pytest.mark.parametrize("spec", suite.IDENTITY_LATTICES)
+    @PROPERTY
+    @given(seed=seeds)
+    def test_matches_fraction_oracle(self, spec, seed):
+        """Each sampler returns the Vec of its Fraction-built oracle and
+        leaves the generator in the same state; orthogonal_to's vectors
+        pair to 0 with e, and are anisotropic when asked to be."""
+        split = standard_splitting(lattice(spec))
+        lat, n = split.lattice, split.lattice.rank
+        r1, r2 = random.Random(seed), random.Random(seed)
+
+        def same(got, want):
+            assert got == want
+            assert r1.getstate() == r2.getstate()
+            return got
+
+        for _ in range(4):
+            w = same(sampling.rational_vector(lat, r1), rational_vector_oracle(lat, r2))
+            same(sampling.l1_vector(split, r1), supported_vector_oracle(n, split.l1_indices, r2))
+            same(sampling.l0_vector(split, r1), supported_vector_oracle(n, split.l0_indices, r2))
+            same(sampling.integral_l1_vector(split, r1), integral_l1_vector_oracle(split, r2))
+            e = same(isotropic_vector(split, r1), isotropic_vector(split, r2))
+            for base in (e, w) if not w.is_zero() else (e,):
+                for anisotropic in (False, True):
+                    a = same(orthogonal_to(lat, r1, base, anisotropic),
+                             orthogonal_to_oracle(lat, r2, base, anisotropic))
+                    assert lat.inner(a, base) == 0
+                    assert not anisotropic or lat.norm(a) != 0
+
     @PROPERTY
     @given(spec=specs, seed=seeds)
     def test_isotropic_vector_draws(self, spec, seed):

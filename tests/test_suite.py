@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from orthlat import suite
+from orthlat import sampling, suite
 from orthlat.eichler import standard_splitting
 from orthlat.isometry import GroupWord, ReflectionAtom as sigma, TransvectionAtom as t
 from orthlat.lattice import build
@@ -92,3 +92,25 @@ class TestSame:
         assert we != e
         assert suite._same(lat, w + (t(e, a),), (t(we, wa),) + w)
         assert not suite._same(lat, w + (t(e, a),), (t(e, a),) + w)
+
+
+class TestReflectionPair:
+    def test_isotropic_draw_is_drawn_again(self, monkeypatch):
+        """An isotropic a is no mirror: the trial draws a again and checks
+        the relation at the second draw."""
+        split = standard_splitting(build("2U+A2"))
+        lat, e, f = split.lattice, split.e, split.f
+        iso, a = split.e1, split.e1 + split.f1
+        assert lat.norm(iso) == 0 and lat.norm(a) == 2
+        draws = iter([iso, a])
+        monkeypatch.setattr(sampling, "l1_vector", lambda split, rng: next(draws))
+        checked, real_same = [], suite._same
+
+        def same(lat, lhs, rhs):
+            checked.append((lhs, rhs))
+            return real_same(lat, lhs, rhs)
+
+        monkeypatch.setattr(suite, "_same", same)
+        assert suite._reflection_pair(split, Random(5))
+        assert list(draws) == []
+        assert checked == [((t(f, a), t(e, a), t(f, a)), (sigma(a), sigma(e + f)))]
