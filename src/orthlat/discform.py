@@ -8,9 +8,9 @@ exponent of D: for x = sum c_i g_i, q(x) = c^T T c / N in Q/2Z
 (returned normalized to [0, 2)) and b(x, y) = c^T T c' / N in Q/Z
 (returned in [0, 1)).
 
-Also here: the reduction O(L) -> O(D(L)), the stability test that cuts
-out the stable orthogonal group, and brute-force enumeration of the
-full automorphism group of (D, q).
+Also here: the reduction O(L) -> O(D(L)), whose kernel is the stable
+orthogonal group that the stability test reads off it, and brute-force
+enumeration of the full automorphism group of (D, q).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class DiscriminantForm:
     """D(L) with its Q/2Z-valued quadratic form."""
 
     __slots__ = ("lattice", "orders", "exponent", "generators", "_table",
-                 "_class_rows", "_elements")
+                 "_class_rows")
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
@@ -58,7 +58,6 @@ class DiscriminantForm:
         if any(r for row in pairs for _, r in row):
             raise InternalSolveFailureError("N (g_i, g_j) is not an integer")
         self._table = [[t for t, _ in row] for row in pairs]
-        self._elements = {}
 
     def __len__(self) -> int:
         return prod(self.orders)
@@ -77,13 +76,6 @@ class DiscriminantForm:
     def elements(self) -> list["DiscElement"]:
         """All elements, in lexicographic coordinate order."""
         return [DiscElement(self, c) for c in product(*(range(d) for d in self.orders))]
-
-    def _element(self, coords: tuple[int, ...]) -> "DiscElement":
-        """The element with reduced coordinates ``coords``, built once."""
-        elem = self._elements.get(coords)
-        if elem is None:
-            elem = self._elements[coords] = DiscElement(self, coords)
-        return elem
 
     def _coords(self, g) -> tuple[int, ...]:
         """Class coordinates of y in L* from the integer vector g = G y."""
@@ -113,7 +105,7 @@ class DiscriminantForm:
             raise NotPrimitiveError("class_of needs a primitive vector")
         g = self.lattice.gram_apply(v)._ents
         d, coords = self.divisor_and_class(g)
-        return sum(map(mul, ents, g)), d, self._element(coords)
+        return sum(map(mul, ents, g)), d, DiscElement(self, coords)
 
     def divisor_and_class(self, g) -> tuple[int, tuple[int, ...]]:
         """(d, coordinates of the class of v/d) from the integers
@@ -210,7 +202,9 @@ def identity_automorphism(form: DiscriminantForm) -> DiscAutomorphism:
 
 
 def induced_map(lattice: Lattice, mat: Mat) -> DiscAutomorphism:
-    """Action of an integral isometry on D(L)."""
+    """Action of an integral isometry g on D(L): the classes of g g_i.
+    Raises as check_isometry, which runs first; the images are then
+    checked to preserve q and b exactly, on the integer table."""
     lattice.check_isometry(mat, integral=True)
     form = discriminant_form(lattice)
     images = tuple(form.class_of_dual(mat.apply(g)) for g in form.generators)
@@ -226,11 +220,10 @@ def induced_map(lattice: Lattice, mat: Mat) -> DiscAutomorphism:
 
 
 def is_stable(lattice: Lattice, mat: Mat) -> bool:
-    """Whether the integral isometry g acts trivially on D(L): (g - 1) L* in L,
-    tested on the generators of D.  Raises as check_isometry."""
-    lattice.check_isometry(mat, integral=True)
-    return all((mat.apply(g) - g).is_integral()
-               for g in discriminant_form(lattice).generators)
+    """Whether the integral isometry g lies in the stable group, the
+    kernel of O(L) -> O(D(L)): its induced map is the identity.  Raises
+    as induced_map."""
+    return induced_map(lattice, mat).is_identity()
 
 
 def enumerate_orth_d(form: DiscriminantForm, cap: int = 10000) -> list[DiscAutomorphism]:

@@ -37,6 +37,18 @@ _INTEGRAL_TRANSVECTION = json.dumps({"matrix": [
 _K3 = "2U+2E8(-1)+<-2>"
 
 
+def _diagonal(*entries) -> str:
+    """The diagonal matrix with these entries, as a matrix payload."""
+    return json.dumps({"matrix": [[str(x) if i == j else "0" for j in range(len(entries))]
+                                  for i, x in enumerate(entries)]})
+
+
+# -I, and the reflection in the <-6> basis vector h (h -> -h): integral
+# isometries that move the generator of D(L)
+_MINUS_IDENTITY = _diagonal(*[-1] * 5)
+_H_REFLECTION = _diagonal(*[1] * 6, -1)
+
+
 def _k3_isometry() -> str:
     """An integral isometry of the rank-21 K3 lattice: reflections in
     e + f (spinor norm -1) and in the <-2> generator h, and transvections
@@ -604,6 +616,14 @@ GOLDEN = [
     pytest.param(["elem", "check", "--spec", "2U+<-6>", "--json", _RATIONAL_REFLECTION], 0,
                  "286256ae4c3a5ca441df6fa651ff7f6996fddf8af1b36ee7c3e26a71f5c544b2",
                  id="check-rational"),
+    # recorded before is_stable read the induced map on D(L): in O(L)
+    # and not in the stable group
+    pytest.param(["elem", "check", "--spec", "2U+<-6>", "--json", _MINUS_IDENTITY], 0,
+                 "3cf0a684502df23252545a82fcc308e71d797bb01e4d8607ed16fa7fc74e70cb",
+                 id="check-minus-identity"),
+    pytest.param(["elem", "check", "--spec", "2U+A2(-3)+<-6>", "--json", _H_REFLECTION], 0,
+                 "3cf0a684502df23252545a82fcc308e71d797bb01e4d8607ed16fa7fc74e70cb",
+                 id="check-h-reflection"),
     # recorded before cartan_dieudonne folded its mirrors in by rank updates
     pytest.param(["elem", "check", "--spec", _K3, "--json", _K3_ISOMETRY], 0,
                  "5b9a6080f8888ce75b7fdfd6f57ce904bbe2aedd4ce5c9de2e606014948312bd",

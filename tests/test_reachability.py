@@ -29,14 +29,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 # Definitions kept although nothing reaches them, each with its reason.
-# What they call (_rewrite_against_ef, atom_from_json, class_of_dual)
-# is reached through them.
+# What they call (_rewrite_against_ef, atom_from_json) is reached
+# through them.
 KEPT = {
     "eichler.rewrite_reflection":
         "ROADMAP item 9 writes root reflections as transvection words with it",
-    "discform.induced_map": "ROADMAP item 10 reads O(D) images of lifts with it",
     "discform.DiscAutomorphism.compose": "ROADMAP item 10 composes O(D) elements",
-    "discform.DiscAutomorphism.is_identity": "ROADMAP item 10 tests the kernel of the lift",
     "isometry.class_mul": "test_acceptance.py::test_05_spinor_norm_well_defined calls it",
     "sampling.transvection_word":
         "test_acceptance.py::test_06_stable_plus_words calls it; ROADMAP item 8 plans to",
