@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 from fractions import Fraction
+from functools import cache
 
 from orthlat import discform, eichler
 from orthlat.errors import OrthlatError
@@ -301,7 +302,8 @@ def cmd_witness_p4(args) -> dict:
     _, split = _jacobi_context(args)
     data = _payload(args) if args.json is not None or args.payload_file is not None else {}
     v6 = _parse_vec(data["v6"]) if "v6" in data else None
-    return commutators.certificate_p4(split, v6).to_json()
+    # certificate_p4 raises WrongNormError unless its word evaluates to P(4)
+    return {**commutators.certificate_p4(split, v6).to_json(), "verified": True}
 
 
 def cmd_witness_transvection(args) -> dict:
@@ -310,7 +312,8 @@ def cmd_witness_transvection(args) -> dict:
     _, split = _jacobi_context(args)
     data = _payload(args)
     u = _parse_vec(_need(data, "u"))
-    return commutators.certificate_transvection(split, u).to_json()
+    # certificate_transvection raises WrongNormError unless its word is t(e, u)
+    return {**commutators.certificate_transvection(split, u).to_json(), "verified": True}
 
 
 def cmd_witness_master(args) -> dict:
@@ -374,7 +377,9 @@ COMMANDS = (
 )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once: parsing leaves it as it was."""
     root = _Parser(prog="orthlat", description=__doc__)
     top = root.add_subparsers(dest="group", required=True)
     groups = {}

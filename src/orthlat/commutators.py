@@ -77,7 +77,9 @@ def verify_master_identity(split: HyperbolicSplitting, w, s) -> bool:
 class CommutatorCertificate(NamedTuple):
     """Target together with commutator pairs and an optional plain tail;
     the full word is the product of the groups x y x^-1 y^-1 followed
-    by the tail."""
+    by the tail.  The builders return one only through _certified, whose
+    check of the word is the "verified": true that the witness commands
+    print; to_json does not repeat it."""
 
     target: Isometry
     pairs: tuple[tuple[GroupWord, GroupWord], ...]
@@ -112,13 +114,14 @@ class CommutatorCertificate(NamedTuple):
             ],
             "tail": self.tail.to_json(),
             "word": self.word().to_json(),
-            "verified": self.verify(),
         }
 
 
 def _certified(target: Isometry, pairs, tail: GroupWord, failure: str) -> CommutatorCertificate:
     """The certificate of target by pairs and tail, once its word is
-    checked to evaluate to target; WrongNormError(failure) otherwise."""
+    checked to evaluate to target; WrongNormError(failure) otherwise.
+    This is the one evaluation of the word: callers, the identity suite
+    and the witness commands among them, take the check from here."""
     cert = CommutatorCertificate(target=target, pairs=pairs, tail=tail)
     if not cert.verify():
         raise WrongNormError(failure)

@@ -217,20 +217,6 @@ class Mat:
     def __hash__(self):
         return hash((self.n, self.m, self._den, self._ents))
 
-    def __neg__(self):
-        return Mat._raw(self.n, self.m, [-e for e in self._ents], self._den)
-
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        d = lcm(self._den, other._den)
-        a, b = d // self._den, d // other._den
-        ents = [x * a + y * b for x, y in zip(self._ents, other._ents)]
-        return Mat._raw(self.n, self.m, ents, d)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, c):
         c = as_scalar(c)
         ents = [e * c.numerator for e in self._ents]

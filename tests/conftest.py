@@ -1,5 +1,7 @@
 import pytest
 
+from orthlat.commutators import CommutatorCertificate
+from orthlat.isometry import GroupWord
 from orthlat.lattice import Lattice
 from orthlat.linalg import Mat
 
@@ -17,3 +19,23 @@ def _skewed(lat: Lattice, x: str, y: str) -> Lattice:
 @pytest.fixture
 def skewed():
     return _skewed
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts of the calls of CommutatorCertificate.verify and of
+    GroupWord.evaluate made while the test runs."""
+    calls = {"verify": 0, "evaluate": 0}
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def method(self):
+            calls[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, name, method)
+
+    counted(CommutatorCertificate, "verify")
+    counted(GroupWord, "evaluate")
+    return calls

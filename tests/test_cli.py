@@ -451,6 +451,13 @@ class TestJacobiWitness:
         assert data["verified"] is True
         assert len(data["commutators"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["witness", "p4"], ["witness", "transvection", "--json", '{"u": ["0","1","0","0","0"]}']])
+    def test_witness_evaluates_its_word_once(self, capsys, evaluations, argv):
+        code, data = run_json(capsys, *argv)
+        assert code == 0 and data["verified"] is True
+        assert evaluations == {"verify": 1, "evaluate": 1}
+
     def test_witness_master(self, capsys):
         code, data = run_json(capsys, "witness", "master", "--spec", "<-2>",
                               "--json", '{"w": ["0","1","1","0","0"], "s": "1"}')
@@ -722,6 +729,26 @@ def test_command_table(capsys, group, command, handler, options):
     code, out = run_cli(capsys, group, command, "-h")
     assert code == 0
     assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *options}
+
+
+# main reuses one parser per process; a call leaves nothing in it that
+# the next call sees, a usage error included
+REPEATED_CALLS = [
+    (["lattice", "census", "--spec", "2U+<-2>", "--box", "1"], 0),
+    (["lattice", "census", "--spec", "2U+<-2>"], 0),
+    (["lattice", "census", "--box", "x"], 2),
+    (["witness"], 2),
+    (["suite", "run", "--seed", "3", "--cap", "1"], 2),
+    (["disc", "form", "--spec", "2U+<-6>", "--cap", "0"], 2),
+]
+
+
+def test_parser_is_built_once(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = [run_cli(capsys, *argv) for argv, _ in REPEATED_CALLS]
+    assert [code for code, _ in first] == [code for _, code in REPEATED_CALLS]
+    assert first[0] != first[1]
+    assert [run_cli(capsys, *argv) for argv, _ in reversed(REPEATED_CALLS)] == first[::-1]
 
 
 # -- cold start -------------------------------------------------------------

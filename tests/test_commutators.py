@@ -192,6 +192,12 @@ class TestPlaneCommutators:
             assert spinor_norm_q(cert.target) == 1
 
     def test_json(self, sp):
-        data = heisenberg_commutator(sp, 1, sp.lattice.basis_vector(4)).to_json()
-        assert data["verified"] is True
+        # "verified" is the witness commands' record of the check made in
+        # _certified; a record built around it, never checked, has no such key
+        cert = heisenberg_commutator(sp, 1, sp.lattice.basis_vector(4))
+        data = cert.to_json()
+        assert "verified" not in data
         assert len(data["commutators"]) == 1
+        unchecked = cert._replace(target=p_map(sp, 4))
+        assert not unchecked.verify()
+        assert "verified" not in unchecked.to_json()

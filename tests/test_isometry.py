@@ -109,7 +109,8 @@ class TestTransvection:
         for _ in range(20):
             a = orthogonal_to(lat, rng, e_full)
             t = transvection(lat, e_full, a)
-            d = t.mat - ident
+            d = Mat([[t.mat[i, j] - ident[i, j] for j in range(lat.rank)]
+                     for i in range(lat.rank)])
             sq = d @ d
             assert sq @ d == 0 * ident
             # columns of (t - 1)^2 lie on the line through e

@@ -68,7 +68,7 @@ def zassenhaus(g: Isometry) -> tuple[Fraction, int]:
     """(theta, r): the spinor norm as (-1)^r det((G (1 - g))[J, J]),
     r = rank(1 - g)."""
     n = g.lattice.rank
-    one_minus = Mat.identity(n) - g.mat
+    one_minus = Mat([[int(i == j) - g.mat[i, j] for j in range(n)] for i in range(n)])
     rows = [[one_minus[i, j] for j in range(n)] for i in range(n)]
     cols = pivot_columns(rows)
     gm = g.lattice.gram @ one_minus

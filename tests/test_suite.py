@@ -3,22 +3,27 @@ first failure and no further.  That fixes how many draws each check
 takes from the shared random stream, and so what every later check
 sees."""
 
+from functools import partial
 from random import Random
 
 import pytest
 
-from orthlat import sampling, suite
+from orthlat import commutators, sampling, suite
 from orthlat.eichler import standard_splitting
+from orthlat.errors import WrongNormError
 from orthlat.isometry import GroupWord, ReflectionAtom as sigma, TransvectionAtom as t
 from orthlat.lattice import build
 
 
-def counting(fails_on=None):
-    """A relation that records its calls and fails on call fails_on."""
+def counting(fails_on=None, error=None):
+    """A relation that records its calls and fails on call fails_on, by
+    raising error if one is given (as a certificate builder does)."""
     calls = []
 
     def relation():
         calls.append(None)
+        if error is not None and len(calls) == fails_on:
+            raise error
         return len(calls) != fails_on
 
     return relation, calls
@@ -28,6 +33,13 @@ class TestHolds:
     @pytest.mark.parametrize("k", [1, 2, 7, 10])
     def test_stops_at_first_failure(self, k):
         relation, calls = counting(fails_on=k)
+        report = suite._holds("r", 10, relation, note="n")
+        assert len(calls) == k
+        assert report == {"name": "r", "trials": 10, "pass": False, "note": "n"}
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_wrong_norm_error_is_a_failure(self, k):
+        relation, calls = counting(fails_on=k, error=WrongNormError("word misses its target"))
         report = suite._holds("r", 10, relation, note="n")
         assert len(calls) == k
         assert report == {"name": "r", "trials": 10, "pass": False, "note": "n"}
@@ -114,3 +126,54 @@ class TestReflectionPair:
         assert suite._reflection_pair(split, Random(5))
         assert list(draws) == []
         assert checked == [((t(f, a), t(e, a), t(f, a)), (sigma(a), sigma(e + f)))]
+
+
+@pytest.fixture
+def wrong_transvection_target(monkeypatch):
+    """certificate_transvection with its honest word checked against
+    P(4) t(e, u): _certified rejects every such certificate."""
+    honest = commutators.certificate_transvection
+
+    def builder(split, u):
+        c = honest(split, u)
+        return commutators._certified(commutators.p_map(split, 4) * c.target,
+                                      c.pairs, c.tail, "wrong target")
+
+    monkeypatch.setattr(commutators, "certificate_transvection", builder)
+
+
+class TestCommutatorBlock:
+    """The builders' own check is the suite's check of a certificate: a
+    certificate that fails it fails its check, and the run goes on."""
+
+    def test_failed_certificate_is_a_failed_check(self, wrong_transvection_target):
+        report = suite.run_suite(1)
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        assert failed == ["transvection commutator certificates"]
+        assert report["allPass"] is False
+
+    def test_later_checks_take_the_same_draws(self, monkeypatch, wrong_transvection_target):
+        states, plane = [], suite._plane_commutators
+
+        def recorded(split, rng):
+            states.append(rng.getstate())
+            return plane(split, rng)
+
+        monkeypatch.setattr(suite, "_plane_commutators", recorded)
+        checks = suite.run_commutator_block(Random(5))
+        assert [(c["name"], c["pass"]) for c in checks[-2:]] == [
+            ("transvection commutator certificates", False),
+            ("plane commutator identities", True)]
+        # the failing relation stopped after its first draw of u
+        rng = Random(5)
+        split = standard_splitting(build("2U+A2"))
+        suite._holds("", 50, partial(suite._master_scaling, split, rng))
+        sampling.l1_vector(split, rng)
+        assert len(states) == 20 and states[0] == rng.getstate()
+
+
+class TestOneEvaluationPerCertificate:
+    def test_suite_evaluates_each_certificate_once(self, evaluations):
+        assert suite.run_suite(1)["allPass"] is True
+        # 61 certificates: P(4), 20 transvections and 20 pairs of plane ones
+        assert evaluations == {"verify": 61, "evaluate": 1566}
