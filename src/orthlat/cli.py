@@ -252,9 +252,11 @@ def cmd_jacobi_embed(args) -> dict:
 
     lat, split = _jacobi_context(args)
     data = _payload(args)
+    if ("A" in data) == ("u" in data or "v" in data or "z" in data):
+        raise UsageError('payload needs either "A" or some of "u", "v", "z", not both')
     if "A" in data:
         iso = jacobi.jacobi_embed(split, _parse_mat(data["A"]))
-    elif "u" in data or "v" in data or "z" in data:
+    else:
         n0 = len(split.l0_indices)
         u = _parse_vec(data.get("u", ["0"] * n0))
         v = _parse_vec(data.get("v", ["0"] * n0))
@@ -262,8 +264,6 @@ def cmd_jacobi_embed(args) -> dict:
         if not isinstance(z, int):
             raise UsageError("z must be an integer")
         iso = jacobi.heis_embed(split, u, v, z)
-    else:
-        raise UsageError('payload needs "A" or some of "u", "v", "z"')
     return {"matrix": _fmt_mat(iso.mat), "lattice": lattice_to_json(lat)}
 
 

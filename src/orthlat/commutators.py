@@ -128,6 +128,13 @@ def _certified(target: Isometry, pairs, tail: GroupWord, failure: str) -> Commut
     return cert
 
 
+def _require_orthogonal(split: HyperbolicSplitting, v: Vec, basis, message: str):
+    """NotOrthogonalError(message) unless v pairs to 0 with every vector
+    of basis: the one orthogonality check of the certificate builders."""
+    if any(split.lattice.inner(v, w) != 0 for w in basis):
+        raise NotOrthogonalError(message)
+
+
 def default_norm_six_vector(split: HyperbolicSplitting) -> Vec:
     """e1 + 3 f1 in the second plane, the stock vector of square 6."""
     return split.e1 + 3 * split.f1
@@ -156,8 +163,7 @@ def certificate_p4(split: HyperbolicSplitting, v6=None) -> CommutatorCertificate
     lat = split.lattice
     if lat.norm(v6) != 6:
         raise WrongNormError("the certificate needs a vector of square 6")
-    if lat.inner(v6, split.e) != 0 or lat.inner(v6, split.f) != 0:
-        raise WrongNormError("the vector must be orthogonal to U")
+    _require_orthogonal(split, v6, (split.e, split.f), "the vector must be orthogonal to U")
     return _certified(p_map(split, 4), (), _p4_word(split, v6),
                       "four-transvection word failed to evaluate to P(4)")
 
@@ -167,20 +173,11 @@ def certificate_transvection(split: HyperbolicSplitting, u) -> CommutatorCertifi
     P(4) expanded through its four-transvection word."""
     u = Vec(u)
     lat = split.lattice
-    if lat.inner(u, split.e) != 0:
-        raise WrongNormError("u must be orthogonal to e")
+    _require_orthogonal(split, u, (split.e,), "u must be orthogonal to e")
     x = _p4_word(split, default_norm_six_vector(split)).inverse()
     y = GroupWord(lat, (TransvectionAtom(split.e, u / 3),))
     return _certified(transvection(lat, split.e, u), ((x, y),), GroupWord(lat),
                       "transvection certificate failed to verify")
-
-
-def _require_l0(split: HyperbolicSplitting, v: Vec, name: str):
-    lat = split.lattice
-    for w in (split.e, split.f, split.e1, split.f1):
-        if lat.inner(v, w) != 0:
-            raise NotOrthogonalError(
-                f"{name} must be orthogonal to both hyperbolic planes")
 
 
 def heisenberg_commutator(split: HyperbolicSplitting, s, u) -> CommutatorCertificate:
@@ -188,7 +185,8 @@ def heisenberg_commutator(split: HyperbolicSplitting, s, u) -> CommutatorCertifi
     rational span of the small complement."""
     lat = split.lattice
     u = Vec(u)
-    _require_l0(split, u, "u")
+    _require_orthogonal(split, u, (split.e, split.f, split.e1, split.f1),
+                        "u must be orthogonal to both hyperbolic planes")
     s = Fraction(as_scalar(s))
     x = GroupWord(lat, (TransvectionAtom(split.e, -s * split.f1),))
     y = GroupWord(lat, (TransvectionAtom(split.e1, u),))
@@ -208,8 +206,9 @@ def triple_product(split: HyperbolicSplitting, s, u, v) -> CommutatorCertificate
     isotropic."""
     lat = split.lattice
     u, v = Vec(u), Vec(v)
-    _require_l0(split, u, "u")
-    _require_l0(split, v, "v")
+    planes = (split.e, split.f, split.e1, split.f1)
+    _require_orthogonal(split, u, planes, "u must be orthogonal to both hyperbolic planes")
+    _require_orthogonal(split, v, planes, "v must be orthogonal to both hyperbolic planes")
     s = Fraction(as_scalar(s))
     x = GroupWord(lat, (TransvectionAtom(split.e, -s * split.f1),))
     yu = GroupWord(lat, (TransvectionAtom(split.e1, u),))

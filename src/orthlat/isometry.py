@@ -134,55 +134,24 @@ def _left_update(terms, m: Mat) -> Mat:
     return Mat._raw(m.n, cols, [a for row in out for a in row], m._den * d)
 
 
-def _reflection_terms(lattice: Lattice, a) -> list:
-    """The validated term (c, a, G a) of s_a, with (a, a) read off G a."""
-    a = Vec(a)
-    ga = lattice.gram_apply(a)
-    aa = ga.dot(a)
-    if aa == 0:
-        raise IsotropicMirrorError("mirror vector is isotropic")
-    return [(as_scalar(Fraction(-2) / aa), a, ga)]
-
-
-def _transvection_terms(lattice: Lattice, e, a) -> list:
-    """The validated terms (1, e, G z) and (1, a, G e) of t(e, a), where
-    z = -a - ((a, a)/2) e.  G z is one integer pass over the numerators
-    of G a and G e, over one denominator."""
-    e, a = Vec(e), Vec(a)
-    ge = lattice.gram_apply(e)
-    if ge.dot(e) != 0:
-        raise NotIsotropicError("base vector must be isotropic")
-    if ge.dot(a) != 0:
-        raise NotOrthogonalError("(e, a) must vanish")
-    ga = lattice.gram_apply(a)
-    # (a, a)/2 = p/q in lowest terms
-    p, q = sum(map(mul, ga._ents, a._ents)), 2 * ga._den * a._den
-    g = gcd(p, q)
-    p, q = p // g, q // g
-    # G z = -G a - (p/q) G e over the denominator ga._den * q * ge._den
-    ka, ke = q * ge._den, p * ga._den
-    gz = Vec._raw([-x * ka - y * ke for x, y in zip(ga._ents, ge._ents)],
-                  ga._den * q * ge._den)
-    return [(1, e, gz), (1, a, ge)]
-
-
 def reflection(lattice: Lattice, a) -> Isometry:
     """Reflection in the mirror a: v -> v - 2(a,v)/(a,a) a."""
-    return Isometry._trusted(lattice, terms_matrix(lattice, _reflection_terms(lattice, a)))
+    return ReflectionAtom(Vec(a)).to_isometry(lattice)
 
 
 def transvection(lattice: Lattice, e, a) -> Isometry:
     """Unipotent map v -> v - (a,v)e + (e,v)a - (a,a)/2 (e,v)e for
     isotropic e and a orthogonal to e.  Rational e, a are allowed."""
-    return Isometry._trusted(lattice, terms_matrix(lattice, _transvection_terms(lattice, e, a)))
+    return TransvectionAtom(Vec(e), Vec(a)).to_isometry(lattice)
 
 
 # ---------------------------------------------------------------------
 # words of generators
 
-# Most atoms whose terms one lattice keeps: a transport pass validates
-# about 300 atoms per lattice and a suite run up to 1,110 on one, and a
-# full cache is emptied by its next insert.
+# Most atoms whose terms one lattice keeps: a cold transport pass at
+# seed 1 validates at most 94 atoms on one lattice (278 over its five)
+# and a suite run up to 1,110 on one, and a full cache is emptied by
+# its next insert.
 ATOM_TERMS_CACHE_LIMIT = 4096
 
 
@@ -214,7 +183,13 @@ class ReflectionAtom(namedtuple("ReflectionAtom", "mirror"), _AtomAction):
     __slots__ = ()
 
     def terms(self, lattice: Lattice) -> list:
-        return _reflection_terms(lattice, self.mirror)
+        """The validated term (c, a, G a) of s_a, with (a, a) read off G a."""
+        a = Vec(self.mirror)
+        ga = lattice.gram_apply(a)
+        aa = ga.dot(a)
+        if aa == 0:
+            raise IsotropicMirrorError("mirror vector is isotropic")
+        return [(as_scalar(Fraction(-2) / aa), a, ga)]
 
     def inverse(self) -> "ReflectionAtom":
         return self
@@ -230,7 +205,25 @@ class TransvectionAtom(namedtuple("TransvectionAtom", "e a"), _AtomAction):
     __slots__ = ()
 
     def terms(self, lattice: Lattice) -> list:
-        return _transvection_terms(lattice, self.e, self.a)
+        """The validated terms (1, e, G z) and (1, a, G e) of t(e, a), where
+        z = -a - ((a, a)/2) e.  G z is one integer pass over the numerators
+        of G a and G e, over one denominator."""
+        e, a = Vec(self.e), Vec(self.a)
+        ge = lattice.gram_apply(e)
+        if ge.dot(e) != 0:
+            raise NotIsotropicError("base vector must be isotropic")
+        if ge.dot(a) != 0:
+            raise NotOrthogonalError("(e, a) must vanish")
+        ga = lattice.gram_apply(a)
+        # (a, a)/2 = p/q in lowest terms
+        p, q = sum(map(mul, ga._ents, a._ents)), 2 * ga._den * a._den
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        # G z = -G a - (p/q) G e over the denominator ga._den * q * ge._den
+        ka, ke = q * ge._den, p * ga._den
+        gz = Vec._raw([-x * ka - y * ke for x, y in zip(ga._ents, ge._ents)],
+                      ga._den * q * ge._den)
+        return [(1, e, gz), (1, a, ge)]
 
     def inverse(self) -> "TransvectionAtom":
         return TransvectionAtom(self.e, -self.a)
@@ -381,9 +374,9 @@ def cartan_dieudonne(g: Isometry, order=None) -> list[Vec]:
             continue
         d = w - hw
         try:
-            step = [(d, _reflection_terms(lattice, d))]
+            step = [(d, ReflectionAtom(d).terms(lattice))]
         except IsotropicMirrorError:
-            step = [(m, _reflection_terms(lattice, m)) for m in (w + hw, w)]
+            step = [(m, ReflectionAtom(m).terms(lattice)) for m in (w + hw, w)]
         for m, terms in step:
             h = _left_update(terms, h)
             mirrors.append(m)

@@ -85,8 +85,8 @@ class Lattice:
 
     # -- basic bilinear data ------------------------------------------
     def gram_apply(self, v) -> Vec:
-        """G v, summed over the nonzero entries of each row of G: the one
-        Gram product on vectors.  A wrong length raises ValueError."""
+        """G v, summed over the nonzero entries of each row of G: the
+        sparse Gram product on vectors.  A wrong length raises ValueError."""
         v = Vec(v)
         w = v._ents
         if len(w) != self.rank:

@@ -217,13 +217,6 @@ class Mat:
     def __hash__(self):
         return hash((self.n, self.m, self._den, self._ents))
 
-    def __mul__(self, c):
-        c = as_scalar(c)
-        ents = [e * c.numerator for e in self._ents]
-        return Mat._raw(self.n, self.m, ents, self._den * c.denominator)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         if isinstance(other, Mat):
             if self.m != other.n:
@@ -278,10 +271,10 @@ class Mat:
         diag = s._ents[::n + 1]
         if 0 in diag:
             raise ValueError("singular matrix")
-        # S^-1 U over the last invariant factor, which all the others divide
-        top = diag[-1] if n else 1
-        scaled = [x * (top // diag[i // n]) for i, x in enumerate(u._ents)]
-        return v @ Mat._raw(n, n, scaled, top) * self._den
+        # d S^-1 U over the last invariant factor, which all the others divide
+        top, d = (diag[-1] if n else 1), self._den
+        scaled = [x * d * (top // diag[i // n]) for i, x in enumerate(u._ents)]
+        return v @ Mat._raw(n, n, scaled, top)
 
     def __repr__(self):
         return f"Mat({[list(self.row(i)) for i in range(self.n)]!r})"

@@ -424,6 +424,16 @@ class TestJacobiWitness:
         assert code2 == 0
         assert flags["inStableSOplus"]
 
+    @pytest.mark.parametrize("payload", [
+        '{"A": [["1","1"],["0","1"]], "z": "1"}',
+        '{"A": [["1","1"],["0","1"]], "u": ["1"], "v": ["0"]}',
+        "{}"])
+    def test_embed_needs_one_payload_form(self, capsys, payload):
+        code, data = run_json(capsys, "jacobi", "embed", "--spec", "<-2>", "--json", payload)
+        assert code == 2
+        assert data == {"error": "usage",
+                        "detail": 'payload needs either "A" or some of "u", "v", "z", not both'}
+
     def test_verify(self, capsys):
         code, data = run_json(capsys, "jacobi", "verify", "--spec", "<-2>",
                               "--paramodular", "1", "5")
@@ -450,6 +460,20 @@ class TestJacobiWitness:
         assert code == 0
         assert data["verified"] is True
         assert len(data["commutators"]) == 1
+
+    @pytest.mark.parametrize("argv, error, detail", [
+        # square 6, but pairs 1 with e
+        (["p4", "--json", '{"v6": ["1","1","0","2","1"]}'],
+         "not-orthogonal", "the vector must be orthogonal to U"),
+        (["transvection", "--json", '{"u": ["0","1","0","0","1"]}'],
+         "not-orthogonal", "u must be orthogonal to e"),
+        # square 8 and not orthogonal to U: the square is checked first
+        (["p4", "--json", '{"v6": ["1","1","0","2","2"]}'],
+         "wrong-norm", "the certificate needs a vector of square 6")])
+    def test_witness_refuses(self, capsys, argv, error, detail):
+        code, data = run_json(capsys, "witness", *argv[:1], "--spec", "<-2>", *argv[1:])
+        assert code == 1
+        assert data == {"error": error, "detail": detail}
 
     @pytest.mark.parametrize("argv", [
         ["witness", "p4"], ["witness", "transvection", "--json", '{"u": ["0","1","0","0","0"]}']])

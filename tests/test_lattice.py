@@ -91,7 +91,8 @@ class TestBuilders:
 
     def test_rescaled_spec(self):
         lat = build("U(-2)+A2(-2)")
-        assert lat.gram == -2 * build("U+A2").gram
+        want = [[-2 * x for x in row] for row in build("U+A2").gram.int_rows()]
+        assert lat.gram.int_rows() == want
         # a rescaled U is not unimodular, so it gives no root witness
         assert lat.hyperbolic_planes() == []
 

@@ -33,8 +33,10 @@ from orthlat.isometry import (
     Isometry,
     ReflectionAtom,
     TransvectionAtom,
+    cartan_dieudonne,
     rank_update,
     reflection,
+    spinor_norm_q,
     transvection,
 )
 from orthlat.jacobi import heis_embed, jacobi_lattice
@@ -430,10 +432,14 @@ class TestAtomCache:
     @staticmethod
     def cold_and_warm(spec, atom, v, want, direct):
         """``want`` is the oracle matrix of the atom and ``direct`` the
-        same map built by ``transvection``/``reflection``."""
+        same map built by ``transvection``/``reflection``, which build
+        it from the atom's cached terms."""
         lat = build(spec)  # a new object: nothing cached yet
         assert direct(lat).mat == want
-        assert atom not in lat._cache.get("atom_terms", {})
+        assert atom in lat._cache["atom_terms"]
+        assert direct(lat) == atom.to_isometry(lat)
+        assert GroupWord(lat, (atom,)).apply(v) == want.apply(v)
+        lat = build(spec)
         assert GroupWord(lat, (atom,)).apply(v) == want.apply(v)
         assert atom in lat._cache["atom_terms"]
         assert GroupWord(lat, (atom,)).apply(v) == want.apply(v)
@@ -512,6 +518,28 @@ class TestAtomCache:
             assert atom not in lat._cache["atom_terms"]
             assert GroupWord(lat, (atom,)).apply(v) == image(atom)
         assert len(lat._cache["atom_terms"]) == cached + 50
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_mirrors_never_cached(self, spec):
+        """Cartan-Dieudonne checks each of its mirrors on the spot: on a
+        new lattice, neither it nor the spinor norm leaves an atom in
+        the cache.  The isometry is built from the oracles, and its
+        mirrors are multiplied back by the oracle."""
+        _, e, a = isotropic_pair(spec, 5)
+        lat = build(spec)
+        split = standard_splitting(lat)
+        mat = (transvection_oracle(lat, e, a) @ reflection_oracle(lat, split.e - 3 * split.f)
+               @ reflection_oracle(lat, split.e + split.f))
+        g = Isometry(lat, mat)
+        mirrors = cartan_dieudonne(g)
+        assert not lat._cache.get("atom_terms")
+        back = Mat.identity(lat.rank)
+        for m in mirrors:
+            back = back @ reflection_oracle(lat, m)
+        assert back == mat
+        # -(v, v)/2 is 3 and -1 on the two mirrors, 1 on the transvection
+        assert spinor_norm_q(g) == -3
+        assert not lat._cache.get("atom_terms")
 
     def test_validated_on_each_lattice(self):
         """An atom cached on 2U+<-2> is checked again on a --file lattice
