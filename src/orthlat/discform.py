@@ -5,8 +5,9 @@ U G V = S, (U G)^{-1} = V S^{-1}, so the classes of g_i = V[:, i] / s_i
 at the nontrivial invariant factors s_i generate D(L).  The form is
 held as one integer table T[i][j] = N (g_i, g_j), N = lcm(orders) the
 exponent of D: for x = sum c_i g_i, q(x) = c^T T c / N in Q/2Z
-(returned normalized to [0, 2)) and b(x, y) = c^T T c' / N in Q/Z
-(returned in [0, 1)).
+(returned normalized to [0, 2)), and N b(x, y) = c^T T c' mod N, the
+pairing that the searches and checks below compare as integers and
+never return.
 
 Also here: the reduction O(L) -> O(D(L)), whose kernel is the stable
 orthogonal group that the stability test reads off it, and brute-force
@@ -69,10 +70,6 @@ class DiscriminantForm:
         coords = tuple(int(c) % d for c, d in zip(coords, self.orders, strict=True))
         return DiscElement(self, coords)
 
-    @property
-    def zero(self) -> "DiscElement":
-        return self.element([0] * len(self.orders))
-
     def elements(self) -> list["DiscElement"]:
         """All elements, in lexicographic coordinate order."""
         return [DiscElement(self, c) for c in product(*(range(d) for d in self.orders))]
@@ -120,25 +117,10 @@ class DiscriminantForm:
         n = self.exponent
         return Fraction(sum(map(mul, self._row(elem.coords), elem.coords)) % (2 * n), n)
 
-    def b(self, x: "DiscElement", y: "DiscElement") -> Fraction:
-        n = self.exponent
-        return Fraction(sum(map(mul, self._row(x.coords), y.coords)) % n, n)
-
 
 class DiscElement(NamedTuple):
     form: DiscriminantForm
     coords: tuple[int, ...]
-
-    def __add__(self, other):
-        return self.form.element(a + b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self):
-        return self.form.element(-a for a in self.coords)
-
-    def __mul__(self, k: int):
-        return self.form.element(a * k for a in self.coords)
-
-    __rmul__ = __mul__
 
     def order(self) -> int:
         o = 1
@@ -173,11 +155,10 @@ class DiscAutomorphism(NamedTuple):
     images: tuple[DiscElement, ...]   # images of the generators
 
     def apply(self, elem: DiscElement) -> DiscElement:
-        out = self.form.zero
-        for c, img in zip(elem.coords, self.images):
-            if c:
-                out = out + c * img
-        return out
+        """phi(sum c_i g_i) = sum c_i phi(g_i), summed as integers over
+        each image coordinate and reduced once."""
+        cols = zip(*(img.coords for img in self.images))
+        return self.form.element(sum(map(mul, elem.coords, col)) for col in cols)
 
     def compose(self, other: "DiscAutomorphism") -> "DiscAutomorphism":
         return DiscAutomorphism(self.form, tuple(self.apply(i) for i in other.images))

@@ -69,17 +69,17 @@ def _lift_l0(split: HyperbolicSplitting, u) -> Vec:
 
 
 def jacobi_embed(split: HyperbolicSplitting, a: Mat) -> Isometry:
-    """[A]: A on the (f1, f) coordinates, its isometry companion on (e, e1)."""
+    """[A]: A on the (f1, f) coordinates, its isometry companion on (e, e1),
+    at the splitting's indices."""
     if a.shape != (2, 2) or not a.is_integral() or a.det() != 1:
         raise NotUnimodularError("need an integral 2x2 matrix of determinant 1")
     (p, q), (r, s) = a.int_rows()
     n = split.lattice.rank
-    rows = [[0] * n for _ in range(n)]
+    (e, f), (e1, f1) = split.u_idx, split.u1_idx
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     # J (A^T)^-1 J with J the 2x2 swap is [[p, -q], [-r, s]], as det A = 1
-    rows[0][:2], rows[1][:2] = [p, -q], [-r, s]
-    for i in split.l0_indices:
-        rows[i][i] = 1
-    rows[n - 2][n - 2:], rows[n - 1][n - 2:] = [p, q], [r, s]
+    rows[e][e], rows[e][e1], rows[e1][e], rows[e1][e1] = p, -q, -r, s
+    rows[f1][f1], rows[f1][f], rows[f][f1], rows[f][f] = p, q, r, s
     return Isometry(split.lattice, Mat(rows))
 
 

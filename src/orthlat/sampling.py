@@ -86,12 +86,12 @@ def transvection_word(split: HyperbolicSplitting, rng: Random, length: int) -> G
 def mixed_word(split: HyperbolicSplitting, rng: Random, length: int,
                roots=None) -> GroupWord:
     """Word mixing integral transvections with root reflections; without
-    ``roots`` the norm -2 vectors of a small box, enumerated once per
-    lattice."""
+    ``roots`` the norm -2 vectors of box 1, which holds the root e - f,
+    enumerated once per lattice."""
     lat = split.lattice
     if roots is None:
         if "roots" not in lat._cache:
-            lat._cache["roots"] = lat.enumerate_vectors(-2, 1) or lat.enumerate_vectors(-2, 2)
+            lat._cache["roots"] = lat.enumerate_vectors(-2, 1)
         roots = lat._cache["roots"]
     atoms = []
     for _ in range(length):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -47,12 +48,13 @@ class TestForm:
             assert (q + Fraction(1, 2 * d)) % 2 == 0
 
     def test_u2(self):
-        form = discriminant_form(build("U(2)"))
+        lat = build("U(2)")
+        form = discriminant_form(lat)
         assert form.orders == (2, 2)
         x, y = form.element([1, 0]), form.element([0, 1])
-        assert form.b(x, y) == Fraction(1, 2)
+        assert oracle_forms(lat)[1](x.coords, y.coords) == Fraction(1, 2)
         assert form.q(x) == 0 and form.q(y) == 0
-        assert form.q(x + y) == 1
+        assert form.q(form.element([1, 1])) == 1
 
     def test_order_is_determinant(self):
         for spec in ("2U+<-6>", "U(2)", "A2(-3)", "2U+A2"):
@@ -60,20 +62,24 @@ class TestForm:
             assert len(discriminant_form(lat)) == abs(lat.det())
 
     def test_q_is_quadratic(self):
-        form = discriminant_form(build("A2(-3)+<-4>"))
+        lat = build("A2(-3)+<-4>")
+        form = discriminant_form(lat)
+        ob = oracle_forms(lat)[1]
         rng = random.Random(0)
         els = form.elements()
         for _ in range(60):
             x, y = rng.choice(els), rng.choice(els)
             n = rng.randint(-3, 3)
-            assert (form.q(x + y) - form.q(x) - form.q(y) - 2 * form.b(x, y)) % 2 == 0
-            assert (form.q(n * x) - n * n * form.q(x)) % 2 == 0
+            xy = form.element(map(add, x.coords, y.coords))
+            nx = form.element(n * c for c in x.coords)
+            assert (form.q(xy) - form.q(x) - form.q(y) - 2 * ob(x.coords, y.coords)) % 2 == 0
+            assert (form.q(nx) - n * n * form.q(x)) % 2 == 0
 
 
 class TestClassOf:
     def test_zero_class_examples(self):
         lat = build("2U+<-6>")
-        zero = discriminant_form(lat).zero
+        zero = discriminant_form(lat).element([0])
         assert class_of(lat, [1, 0, 0, 0, 0]) == zero
         assert class_of(lat, [1, -1, 0, 0, 0]) == zero
 
@@ -134,6 +140,7 @@ class TestInducedMap:
     def test_preserves_q_and_b(self):
         lat = build("2U+A2(-3)")
         form = discriminant_form(lat)
+        ob = oracle_forms(lat)[1]
         rng = random.Random(9)
         split = standard_splitting(lat)
         maps = [minus_identity(lat.rank)]
@@ -145,7 +152,7 @@ class TestInducedMap:
             for _ in range(20):
                 x, y = rng.choice(els), rng.choice(els)
                 assert form.q(aut.apply(x)) == form.q(x)
-                assert form.b(aut.apply(x), aut.apply(y)) == form.b(x, y)
+                assert ob(aut.apply(x).coords, aut.apply(y).coords) == ob(x.coords, y.coords)
 
 
 class TestEnumerate:
@@ -257,6 +264,13 @@ def oracle_forms(lat):
     return q, b
 
 
+def linear_image(form, imgs, c):
+    """Coordinates of sum c_i x_i for the image coordinates x_i of the
+    generators: the homomorphism g_i -> x_i at the element c."""
+    return form.element([sum(ci * x[j] for ci, x in zip(c, imgs))
+                         for j in range(len(form.orders))]).coords
+
+
 def brute_force_orth_d(form, oracle_q):
     """Image tuples of every automorphism of (D, q), in lexicographic
     order: each tuple of elements with the generators' orders and
@@ -269,9 +283,7 @@ def brute_force_orth_d(form, oracle_q):
                for g, d in zip(identity_automorphism(form).images, form.orders)]
     out = []
     for imgs in product(*choices):
-        phi = {c: form.element([sum(ci * x[j] for ci, x in zip(c, imgs))
-                                for j in range(len(form.orders))]).coords
-               for c in elements}
+        phi = {c: linear_image(form, imgs, c) for c in elements}
         generated = len(set(phi.values())) == len(form)
         if generated and all(qs[phi[c]] == qs[c] for c in elements):
             out.append(imgs)
@@ -286,11 +298,14 @@ class TestAgainstFractionOracle:
         form = discriminant_form(lat)
         oq, ob = oracle_forms(lat)
         coords = st.tuples(*(st.integers(0, d - 1) for d in form.orders))
+        n = form.exponent
         for _ in range(3):
             x, y = form.element(data.draw(coords)), form.element(data.draw(coords))
             assert form.q(x) == oq(x.coords) and 0 <= form.q(x) < 2
-            assert form.b(x, y) == ob(x.coords, y.coords) and 0 <= form.b(x, y) < 1
-            assert type(form.q(x)) is Fraction and type(form.b(x, y)) is Fraction
+            assert type(form.q(x)) is Fraction
+            # N b(x, y) off the table row T c, as the O(D) search reads it
+            nb = sum(map(mul, form._row(x.coords), y.coords)) % n
+            assert Fraction(nb, n) == ob(x.coords, y.coords)
 
     @PROPERTY
     @given(even_lattices())
@@ -305,6 +320,21 @@ class TestAgainstFractionOracle:
         form = discriminant_form(lat)
         got = [a.key() for a in enumerate_orth_d(form)]
         assert got == brute_force_orth_d(form, oracle_forms(lat)[0])
+
+    @PROPERTY
+    @given(even_lattices(max_det=64))
+    @example(build("U"))
+    @example(build("U(2)+<-4>"))
+    def test_apply_and_compose_are_linear_combinations(self, lat):
+        form = discriminant_form(lat)
+        auts = enumerate_orth_d(form)
+        auts = auts[::max(1, len(auts) // 4)]
+        for a in auts:
+            for x in form.elements():
+                assert a.apply(x).coords == linear_image(form, a.key(), x.coords)
+            for b in auts:
+                assert a.compose(b).key() == tuple(linear_image(form, a.key(), y)
+                                                   for y in b.key())
 
 
 # ---------------------------------------------------------------------

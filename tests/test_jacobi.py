@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from orthlat.eichler import standard_splitting
 from orthlat.errors import NotUnimodularError
 from orthlat.isometry import Isometry, membership, reflection, transvection
 from orthlat.jacobi import (
@@ -185,6 +186,19 @@ class TestPlaneIdentities:
         _, _, split = ja2
         checks = verify_plane_identities(split, [[1, 0], [0, 1], [2, -3]])
         assert all(c.holds for c in checks)
+
+    @pytest.mark.parametrize("spec", ["2U+A2", "2U+<-2>", "2U+2E8(-1)+<-2>"])
+    def test_any_splitting(self, spec):
+        # standard_splitting of a built lattice splits along (0, 1) and
+        # (2, 3), not along jacobi_lattice's outer planes
+        lat = build(spec)
+        split = standard_splitting(lat)
+        assert (split.u_idx, split.u1_idx) == ((0, 1), (2, 3))
+        assert jacobi_embed(split, Mat([[1, 1], [0, 1]])) \
+            == transvection(lat, split.e, split.f1)
+        n0 = len(split.l0_indices)
+        vectors = [[int(i == j) for i in range(n0)] for j in range(min(n0, 2))]
+        assert all(c.holds for c in verify_plane_identities(split, vectors))
 
 
 class TestParamodular:
