@@ -78,104 +78,59 @@ def _nearest_quotient(a: int, b: int) -> int:
     return q
 
 
-class _PlaneReducer:
-    """Tracks the 2x2 coordinate matrix [[x1, x], [y, -y1]] of a vector
-    under the four plane transvections, recording each atom applied.
-
-    Rows e, f, e1, f1 of G are zero outside their planes, so x, y, x1,
-    y1 (the pairings with f, e, f1, e1) are the vector's own entries at
-    e, f, e1, f1, and the four transvections change nothing else.
-
-    ``run`` is Euclid on the first column (x1, y) and the first row
-    (x1, x).  x1 changes only when the matrix is rotated, and each pass
-    of the loop but the last rotates once: at the start when x1 == 0,
-    giving |x1| <= max(|x|, |y|), and otherwise after a nearest-quotient
-    step has left |y| or |x| at most |x1| / 2, which becomes the new x1.
-    So with B the largest bit-length of the four entries (numerators
-    over the vector's denominator, which scales every step alike), x1
-    halves at most B - 1 times after the first rotation while staying
-    nonzero, and the loop makes at most B + 1 passes."""
-
-    def __init__(self, split: HyperbolicSplitting, v: Vec):
-        self.split = split
-        idx = split.u_idx + split.u1_idx
-        self.x, self.y, self.x1, self.y1 = (v[i] for i in idx)
-        self.max_passes = max(abs(v._ents[i]) for i in idx).bit_length() + 1
-        self.applied: list[TransvectionAtom] = []
-
-    # the four generators, with integer multiplicity k
-    def left_upper(self, k):    # t(e, k e1): row1 += k row2
-        s = self.split
-        self.applied.append(TransvectionAtom(s.e, k * s.e1))
-        self.x1 += k * self.y
-        self.x += k * (-self.y1)
-
-    def left_lower(self, k):    # t(f, -k f1): row2 += k row1
-        s = self.split
-        self.applied.append(TransvectionAtom(s.f, -k * s.f1))
-        self.y += k * self.x1
-        self.y1 -= k * self.x
-
-    def right_col2(self, k):    # t(e, -k f1): col2 += k col1
-        s = self.split
-        self.applied.append(TransvectionAtom(s.e, -k * s.f1))
-        self.x += k * self.x1
-        self.y1 -= k * self.y
-
-    def right_col1(self, k):    # t(f, k e1): col1 += k col2
-        s = self.split
-        self.applied.append(TransvectionAtom(s.f, k * s.e1))
-        self.x1 += k * self.x
-        self.y += k * (-self.y1)
-
-    def rotate_rows(self):
-        # [[0,-1],[1,0]] on the left
-        self.left_upper(-1)
-        self.left_lower(1)
-        self.left_upper(-1)
-
-    def rotate_cols(self):
-        self.right_col1(1)
-        self.right_col2(-1)
-        self.right_col1(1)
-
-    def run(self):
-        passes = 0
-        while self.x != 0 or self.y != 0:
-            passes += 1
-            if passes > self.max_passes:
-                raise InternalSolveFailureError(
-                    f"plane reduction exceeded its bound of {self.max_passes} passes")
-            if self.x1 == 0:
-                if self.y != 0:
-                    self.rotate_rows()
-                else:
-                    self.rotate_cols()
-                continue
-            if self.y != 0:
-                q = _nearest_quotient(self.y, self.x1)
-                if q:
-                    self.left_lower(-q)
-                if self.y != 0:
-                    self.rotate_rows()
-                    continue
-            if self.x != 0:
-                q = _nearest_quotient(self.x, self.x1)
-                if q:
-                    self.right_col2(-q)
-                if self.x != 0:
-                    self.rotate_cols()
-
-
 def _reduce_into_l1(split: HyperbolicSplitting, v: Vec) -> tuple[list[TransvectionAtom], Vec]:
     """Atoms (in application order) taking v into the complement of U,
-    and the image: v with its plane entries set to (0, 0, x1, y1)."""
-    red = _PlaneReducer(split, v)
-    red.run()
-    image = list(v)
-    (e, f), (e1, f1) = split.u_idx, split.u1_idx
-    image[e], image[f], image[e1], image[f1] = 0, 0, red.x1, red.y1
-    return red.applied, Vec(image)
+    and the image: v with its plane entries set to (0, 0, x1, y1).
+
+    Rows e, f, e1, f1 of G are zero outside their planes, so x, y, x1,
+    y1 (the pairings with f, e, f1, e1) are v's own entries at e, f, e1,
+    f1.  For b in {e, f} and p in {e1, f1}, t(b, k p) maps v to
+    v - k (p, v) b + k (b, v) p: ``move`` changes two numerators by
+    integer multiples of two others, and the denominator never changes.
+
+    The loop is Euclid on the first column (x1, y) and the first row
+    (x1, x) of the matrix [[x1, x], [y, -y1]].  x1 changes only when the
+    matrix is rotated, and each pass of the loop but the last rotates
+    once: at the start when x1 == 0, giving |x1| <= max(|x|, |y|), and
+    otherwise after a nearest-quotient step has left |y| or |x| at most
+    |x1| / 2, which becomes the new x1.  So with B the largest
+    bit-length of the four numerators, x1 halves at most B - 1 times
+    after the first rotation while staying nonzero, and the loop makes
+    at most B + 1 passes."""
+    e, f, e1, f1 = idx = split.u_idx + split.u1_idx
+    partner = {e: f, f: e, e1: f1, f1: e1}
+    basis = dict(zip(idx, (split.e, split.f, split.e1, split.f1)))
+    n, atoms = list(v._ents), []
+
+    def move(b, p, k):      # t(b, k p)
+        atoms.append(TransvectionAtom(basis[b], k * basis[p]))
+        n[b] -= k * n[partner[p]]
+        n[p] += k * n[partner[b]]
+
+    # [[0, -1], [1, 0]] on the left of the matrix, and on the right
+    rotate_rows = ((e, e1, -1), (f, f1, -1), (e, e1, -1))
+    rotate_cols = ((f, e1, 1), (e, f1, 1), (f, e1, 1))
+    bound = max(abs(n[i]) for i in idx).bit_length() + 1
+    passes = 0
+    while n[e] or n[f]:
+        passes += 1
+        if passes > bound:
+            raise InternalSolveFailureError(f"plane reduction exceeded its bound of {bound} passes")
+        rotation = ()
+        if n[e1] == 0:
+            rotation = rotate_rows if n[f] else rotate_cols
+        else:
+            for b, turn in ((f, rotate_rows), (e, rotate_cols)):
+                if n[b]:
+                    q = _nearest_quotient(n[b], n[e1])
+                    if q:
+                        move(b, f1, q)
+                    if n[b]:
+                        rotation = turn
+                        break
+        for m in rotation:
+            move(*m)
+    return atoms, Vec._raw(n, v._den)
 
 
 # ---------------------------------------------------------------------

@@ -423,10 +423,6 @@ def squarefree_class(x) -> int:
     return (-1 if n < 0 else 1) * prod(p for p, e in _factor(abs(n)) if e % 2)
 
 
-def class_mul(a: int, b: int) -> int:
-    return squarefree_class(a * b)
-
-
 def _integral_square_class(x: Fraction, lattice: Lattice) -> int:
     """Square class of the spinor norm x of an integral isometry.
 

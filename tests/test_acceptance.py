@@ -12,7 +12,7 @@ from math import gcd
 
 from orthlat import commutators, discform, eichler, jacobi, suite
 from orthlat.cli import main as cli_main
-from orthlat.isometry import class_mul, membership, spinor_norm_q
+from orthlat.isometry import membership, spinor_norm_q, squarefree_class
 from orthlat.lattice import build
 from orthlat.linalg import Vec
 from orthlat.sampling import mixed_word, transvection_word
@@ -134,7 +134,7 @@ def test_05_spinor_norm_well_defined():
         ok = ok and spinor_norm_q(g) == spinor_norm_q(g, order=perm)
     for _ in range(100):
         g, h = rng.choice(words), rng.choice(words)
-        ok = ok and spinor_norm_q(g * h) == class_mul(spinor_norm_q(g), spinor_norm_q(h))
+        ok = ok and spinor_norm_q(g * h) == squarefree_class(spinor_norm_q(g) * spinor_norm_q(h))
     report(5, "spinor norm independent of decomposition (100 words) "
               "and multiplicative (100 pairs)", ok)
 

@@ -13,7 +13,6 @@ from orthlat.eichler import (
     HyperbolicSplitting,
     OrbitInvariant,
     _nearest_quotient,
-    _PlaneReducer,
     _reduce_into_l1,
     _row_pass_bound,
     _solve_row,
@@ -174,11 +173,14 @@ class TestReducerBound:
                 v = Vec([Fraction(x, rng.randint(1, 2 ** bits)) for x in ents] + [0])
             else:
                 v = Vec(ents + [0])
-            red = _PlaneReducer(split, v)
-            red.run()
-            assert red.x == red.y == 0
-            # a pass applies at most two quotient steps and one rotation
-            assert len(red.applied) <= 5 * red.max_passes
+            atoms, image = _reduce_into_l1(split, v)
+            assert all(image[i] == 0 for i in split.u_idx)
+            # B + 1 passes, B the largest bit-length of the plane
+            # numerators; a pass applies at most two quotient steps and
+            # one rotation
+            plane = split.u_idx + split.u1_idx
+            passes = max(abs(v._ents[i]) for i in plane).bit_length() + 1
+            assert len(atoms) <= 5 * passes
 
     def test_old_quotient_rule_trips_the_bound(self, l5, monkeypatch):
         """The bound is a working self-check: with the misdirected step
@@ -194,6 +196,46 @@ class TestReducerBound:
         u, v = adversarial_pair(10 ** 4)
         with pytest.raises(InternalSolveFailureError, match="exceeded its bound"):
             transport_witness(split, u, v)
+
+
+# the splittings whose reductions are pinned: three standard splittings
+# and one in the Jacobi order (e, e1, L0..., f1, f)
+PINNED_REDUCE_SPLITS = {
+    "2U+<-2>": lambda: standard_splitting(build("2U+<-2>")),
+    "2U+A2": lambda: standard_splitting(build("2U+A2")),
+    "2U+2E8(-1)+<-2>": lambda: standard_splitting(build("2U+2E8(-1)+<-2>")),
+    "jacobi A2": lambda: jacobi_lattice(build("A2"))[1],
+}
+
+
+def reducer_inputs(rank, seed, count):
+    """count seeded vectors of the given rank: numerators of up to 120
+    bits, a quarter of them zero, over the denominator 1 in half of the
+    vectors and over one denominator of up to 120 bits in the rest."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        bits = rng.randint(1, 120)
+        ents = [rng.choice((0, 1, 1, 1)) * rng.choice((-1, 1)) * rng.getrandbits(bits)
+                for _ in range(rank)]
+        den = rng.choice((1, rng.getrandbits(bits) + 1))
+        out.append(Vec([Fraction(x, den) for x in ents]))
+    return out
+
+
+# sha256 of the reprs of ([(e, a) of each atom], image) of _reduce_into_l1
+# on reducer_inputs(rank, 35, 200), the splittings in sorted order
+REDUCER_DIGEST = "961ebb37344b685b141ce4d8ae63f204f1c9536fd30df6b5dea349fd5ae24bb3"
+
+
+def test_reductions_pinned():
+    digest = hashlib.sha256()
+    for name in sorted(PINNED_REDUCE_SPLITS):
+        split = PINNED_REDUCE_SPLITS[name]()
+        for v in reducer_inputs(split.lattice.rank, 35, 200):
+            atoms, image = _reduce_into_l1(split, v)
+            digest.update(repr(([(list(a.e), list(a.a)) for a in atoms], list(image))).encode())
+    assert digest.hexdigest() == REDUCER_DIGEST
 
 
 def fibonacci(k):
@@ -756,3 +798,64 @@ def test_k3_transport_witnesses_pinned(seed):
         words.append(word)
     text = json.dumps([w.to_json() for w in words], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == K3_TRANSPORT_DIGESTS[seed]
+
+
+# ---------------------------------------------------------------------
+# the same lattice on the basis order (e, e1, L0..., f1, f)
+
+def jacobi_twin(lat):
+    """perm taking the basis (e, f, e1, f1, L0...) of a built lattice to
+    (e, e1, L0..., f1, f), and the Lattice on the permuted Gram matrix."""
+    n = lat.rank
+    perm = (0, 2, *range(4, n), 3, 1)
+    g = lat.gram.int_rows()
+    return perm, Lattice(Mat([[g[i][j] for j in perm] for i in perm]),
+                         [lat.labels[i] for i in perm])
+
+
+def permuted(x, perm):
+    x = list(Vec(x))
+    return Vec([x[i] for i in perm])
+
+
+def permuted_atoms(atoms, perm):
+    return [TransvectionAtom(permuted(a.e, perm), permuted(a.a, perm)) for a in atoms]
+
+
+TWIN_SPECS = ["2U+<-2>", "2U+A2"]
+
+
+class TestPermutedBasisTwin:
+    """standard_splitting finds the twin's planes at (0, n - 1) and
+    (1, n - 2). The reduction reads the plane entries by their role, so
+    on the twin it gives the same atoms and image with the coordinates
+    permuted."""
+
+    @pytest.mark.parametrize("spec", TWIN_SPECS)
+    def test_reduction(self, spec):
+        lat = build(spec)
+        perm, twin = jacobi_twin(lat)
+        split, twin_split = standard_splitting(lat), standard_splitting(twin)
+        assert (twin_split.u_idx, twin_split.u1_idx) == ((0, lat.rank - 1), (1, lat.rank - 2))
+        for v in reducer_inputs(lat.rank, 36, 100):
+            atoms, image = _reduce_into_l1(split, v)
+            twin_atoms, twin_image = _reduce_into_l1(twin_split, permuted(v, perm))
+            assert twin_atoms == permuted_atoms(atoms, perm)
+            assert twin_image == permuted(image, perm)
+
+    @pytest.mark.parametrize("spec, u, v", [
+        ("2U+<-2>", *adversarial_pair(int("1234567890" * 10))),
+        ("2U+<-2>", [0, 0, *fibonacci(476), 0], [-fibonacci(476)[1], 0, *fibonacci(476), 0]),
+        ("2U+A2", [0, -10 ** 99, 2 * 10 ** 99 - 1, 1, 0, 0], [0, 0, -1, 1 - 2 * 10 ** 99, 0, 0]),
+    ])
+    def test_transport_witness(self, spec, u, v):
+        """The whole witness agrees on pairs with plane entries of up to
+        100 digits. Its middle atoms come from pair_to_d's one-row
+        Euclid, which breaks ties in |entry| by column index, and the
+        twin orders L1 as (e1, L0..., f1): so on small roots, where
+        such ties are common, the middle atoms can differ."""
+        lat = build(spec)
+        perm, twin = jacobi_twin(lat)
+        word = transport_witness(standard_splitting(lat), u, v)
+        twin_word = transport_witness(standard_splitting(twin), permuted(u, perm), permuted(v, perm))
+        assert list(twin_word.atoms) == permuted_atoms(word.atoms, perm)

@@ -19,7 +19,6 @@ from orthlat.isometry import (
     ReflectionAtom,
     TransvectionAtom,
     cartan_dieudonne,
-    class_mul,
     membership,
     reflection,
     spinor_norm_q,
@@ -250,7 +249,7 @@ class TestSpinorNorm:
         assert squarefree_class(12) == 3
         assert squarefree_class(Fraction(-8, 18)) == -1
         assert squarefree_class(Fraction(5, 3)) == 15
-        assert class_mul(6, 10) == 15
+        assert squarefree_class(6 * 10) == 15
 
     def test_reflection_value(self):
         lat = build("2U+<-2>")
@@ -281,7 +280,7 @@ class TestSpinorNorm:
             perm = list(range(lat.rank))
             rng.shuffle(perm)
             assert spinor_norm_q(g) == spinor_norm_q(g, order=perm)
-            assert spinor_norm_q(g * h) == class_mul(spinor_norm_q(g), spinor_norm_q(h))
+            assert spinor_norm_q(g * h) == squarefree_class(spinor_norm_q(g) * spinor_norm_q(h))
 
 
 class TestMembership:

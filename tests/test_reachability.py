@@ -35,7 +35,6 @@ KEPT = {
     "eichler.rewrite_reflection":
         "ROADMAP item 9 writes root reflections as transvection words with it",
     "discform.DiscAutomorphism.compose": "ROADMAP item 10 composes O(D) elements",
-    "isometry.class_mul": "test_acceptance.py::test_05_spinor_norm_well_defined calls it",
     "sampling.transvection_word":
         "test_acceptance.py::test_06_stable_plus_words calls it; ROADMAP item 8 plans to",
     "isometry.GroupWord.from_json":
